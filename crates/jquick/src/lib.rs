@@ -62,5 +62,8 @@ pub use multilevel::{multilevel_sample_sort, MultiLevelCfg};
 pub use pivot::PivotCfg;
 pub use quickhull::{quickhull, Point};
 pub use samplesort::{sample_sort, SampleSortCfg};
-pub use verify::{fingerprint, imbalance_factor, verify_sorted, VerifyReport};
+pub use verify::{
+    fingerprint, imbalance_factor, imbalance_factor_async, verify_sorted, verify_sorted_async,
+    VerifyReport,
+};
 pub use workloads::{generate as generate_workload, Dist};

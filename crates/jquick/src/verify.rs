@@ -2,9 +2,11 @@
 //!
 //! Used by tests and benchmarks to validate the §II output contract:
 //! globally sorted (each process holds elements with consecutive global
-//! ranks), balanced, and a permutation of the input.
+//! ranks), balanced, and a permutation of the input. Each checker is an
+//! `*_async` core with a synchronous wrapper, so it also runs inside a
+//! `Backend::Poll` rank body.
 
-use mpisim::{coll, Datum, Result, SortKey, Src, Transport};
+use mpisim::{block_inline, coll, recv_async, Datum, Result, SortKey, Src, Transport};
 
 const TAG_BOUNDARY: u64 = 80;
 const TAG_CHECK: u64 = 82;
@@ -89,6 +91,16 @@ pub fn verify_sorted<T: SortKey + Datum + KeyBits>(
     input_fp: u64,
     expected_len: usize,
 ) -> Result<VerifyReport> {
+    block_inline(verify_sorted_async(world, output, input_fp, expected_len))
+}
+
+/// [`verify_sorted`] as a maybe-async core.
+pub async fn verify_sorted_async<T: SortKey + Datum + KeyBits>(
+    world: &impl Transport,
+    output: &[T],
+    input_fp: u64,
+    expected_len: usize,
+) -> Result<VerifyReport> {
     let p = world.size();
     let r = world.rank();
 
@@ -106,7 +118,7 @@ pub fn verify_sorted<T: SortKey + Datum + KeyBits>(
         }
         let mut ok = true;
         if r > 0 {
-            let (prev_max, _) = world.recv::<T>(Src::Rank(r - 1), TAG_BOUNDARY)?;
+            let (prev_max, _) = recv_async::<T, _>(world, Src::Rank(r - 1), TAG_BOUNDARY).await?;
             if let (Some(pm), Some(my_min)) = (prev_max.first(), output.first()) {
                 ok = pm.cmp_key(my_min).is_le();
             }
@@ -116,7 +128,7 @@ pub fn verify_sorted<T: SortKey + Datum + KeyBits>(
 
     // Permutation: global fingerprint of outputs must equal inputs'.
     let out_fp = fingerprint(output);
-    let sums = coll::allreduce(
+    let sums = coll::allreduce_async(
         world,
         &[
             input_fp,
@@ -127,7 +139,8 @@ pub fn verify_sorted<T: SortKey + Datum + KeyBits>(
         ],
         TAG_CHECK,
         |a: &u64, b: &u64| a.wrapping_add(*b),
-    )?;
+    )
+    .await?;
     Ok(VerifyReport {
         locally_sorted: sums[2] == p as u64,
         globally_ordered: sums[3] == p as u64,
@@ -139,19 +152,26 @@ pub fn verify_sorted<T: SortKey + Datum + KeyBits>(
 /// Max/avg imbalance of output sizes relative to n/p (hypercube quicksort
 /// produces imbalance; JQuick must not).
 pub fn imbalance_factor(world: &impl Transport, local_len: usize) -> Result<f64> {
+    block_inline(imbalance_factor_async(world, local_len))
+}
+
+/// [`imbalance_factor`] as a maybe-async core.
+pub async fn imbalance_factor_async(world: &impl Transport, local_len: usize) -> Result<f64> {
     let p = world.size() as u64;
-    let totals = coll::allreduce(
+    let totals = coll::allreduce_async(
         world,
         &[local_len as u64, local_len as u64],
         TAG_CHECK + 2,
         |a: &u64, b: &u64| a + b, // first slot: sum
-    )?;
-    let max = coll::allreduce(
+    )
+    .await?;
+    let max = coll::allreduce_async(
         world,
         &[local_len as u64],
         TAG_CHECK + 4,
         |a: &u64, b: &u64| (*a).max(*b),
-    )?[0];
+    )
+    .await?[0];
     let avg = totals[0] as f64 / p as f64;
     Ok(max as f64 / avg.max(1.0))
 }

@@ -123,8 +123,7 @@ pub async fn reduce_async<T: Datum>(
     let r = tr.rank();
     tr.check_rank(root)?;
     let _span = obs::span(tr.state(), OpClass::Reduce, "reduce");
-    let mut acc = crate::pool::take_vec::<T>(data.len());
-    acc.extend_from_slice(data);
+    let mut acc = data.to_vec();
     if p == 1 {
         return Ok(Some(acc));
     }
@@ -139,7 +138,6 @@ pub async fn reduce_async<T: Datum>(
                 // Child data comes from higher relative ranks: acc is left.
                 combine_into(&mut acc, &v, &op, false);
                 tr.charge_compute(acc.len());
-                crate::pool::recycle_vec(v);
             }
         } else {
             let parent = (rel - mask + root) % p;
@@ -200,8 +198,7 @@ pub async fn scan_async<T: Datum>(
     let p = tr.size();
     let r = tr.rank();
     let _span = obs::span(tr.state(), OpClass::Scan, "scan");
-    let mut incl = crate::pool::take_vec::<T>(data.len());
-    incl.extend_from_slice(data);
+    let mut incl = data.to_vec();
     let mut d = 1usize;
     while d < p {
         if r + d < p {
@@ -212,7 +209,6 @@ pub async fn scan_async<T: Datum>(
             // v covers strictly lower ranks: it is the left operand.
             combine_into(&mut incl, &v, &op, true);
             tr.charge_compute(incl.len());
-            crate::pool::recycle_vec(v);
         }
         d <<= 1;
     }
@@ -240,8 +236,7 @@ pub async fn exscan_async<T: Datum>(
     let p = tr.size();
     let r = tr.rank();
     let _span = obs::span(tr.state(), OpClass::Scan, "exscan");
-    let mut incl = crate::pool::take_vec::<T>(data.len());
-    incl.extend_from_slice(data);
+    let mut incl = data.to_vec();
     let mut excl: Option<Vec<T>> = None;
     let mut d = 1usize;
     while d < p {
@@ -257,10 +252,7 @@ pub async fn exscan_async<T: Datum>(
             match &mut excl {
                 // First contribution: keep the received buffer itself.
                 None => excl = Some(v),
-                Some(e) => {
-                    combine_into(e, &v, &op, true);
-                    crate::pool::recycle_vec(v);
-                }
+                Some(e) => combine_into(e, &v, &op, true),
             }
         }
         d <<= 1;

@@ -44,7 +44,7 @@ pub mod model;
 pub mod msg;
 pub mod nbcoll;
 pub mod obs;
-pub mod pool;
+mod pool;
 pub mod proc;
 pub mod sched;
 mod splitdist;

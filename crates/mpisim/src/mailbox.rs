@@ -25,7 +25,8 @@
 //! backing storage is retained across refills, which the allocation-free
 //! epoch path needs.) Drained source queues and drained `(context, tag)`
 //! buckets are likewise retained/recycled rather than freed, so a
-//! steady-state storm touches the allocator not at all.
+//! steady-state storm's mailbox bookkeeping touches the allocator not at
+//! all.
 //!
 //! # Blocking and wake-ups
 //!

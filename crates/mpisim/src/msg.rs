@@ -4,9 +4,8 @@
 //! of the communicator it was sent over — exactly the header fields MPI uses
 //! for matching (§III of the paper). Payloads are typed `Vec<T>` stored as
 //! raw parts plus a `TypeId` (no serialization, and no per-message `Box`
-//! allocation); an exclusively-owned payload that is dropped untaken
-//! returns its allocation to the payload pool ([`crate::pool`]), which is
-//! what lets steady-state epochs run allocation-free.
+//! allocation); an exclusively-owned payload that is dropped untaken is
+//! freed as the `Vec<T>` it came from.
 //!
 //! # Zero-copy fan-out
 //!
@@ -177,30 +176,35 @@ enum Payload {
 }
 
 /// The raw parts of an exclusively-owned `Vec<T>` payload. Compared with
-/// the former `Box<dyn Any + Send>` this avoids one heap allocation per
-/// message, and its `Drop` returns the buffer to [`crate::pool`] instead
-/// of freeing it — a message consumed by the scheduler's staged-send path
-/// and later dropped (or type-mismatched) feeds the next send.
+/// a `Box<dyn Any + Send>` this avoids one heap allocation per message;
+/// its `Drop` frees the buffer through a release function monomorphized
+/// for the payload's element type.
 ///
 /// Safety invariant: `(ptr, len, cap)` are the raw parts of a live
 /// `Vec<T>` with `TypeId::of::<T>() == tid`, exclusively owned by this
-/// value, and `recycle` is monomorphized for that same `T`.
+/// value, and `release` is monomorphized for that same `T`.
 struct OwnedVec {
     ptr: *mut u8,
     len: usize,
     cap: usize,
     tid: TypeId,
-    recycle: unsafe fn(*mut u8, usize),
+    release: unsafe fn(*mut u8, usize),
 }
 
 // SAFETY: the buffer is exclusively owned (moved out of a unique `Vec`)
 // and `T: Datum` implies `T: Send`.
 unsafe impl Send for OwnedVec {}
 
-/// Returns a payload buffer to the pool as the empty `Vec<T>` it came
-/// from (elements are `Copy`, so no destructors are skipped).
-unsafe fn recycle_as<T: Datum>(ptr: *mut u8, cap: usize) {
-    crate::pool::recycle_vec(unsafe { Vec::from_raw_parts(ptr.cast::<T>(), 0, cap) });
+/// Frees a payload buffer as the empty `Vec<T>` it came from (elements
+/// are `Copy`, so no destructors are skipped).
+///
+/// # Safety
+///
+/// `(ptr, cap)` must be the pointer and capacity of a live `Vec<T>` whose
+/// ownership the caller gives up.
+unsafe fn release_as<T: Datum>(ptr: *mut u8, cap: usize) {
+    // SAFETY: the caller hands over a live `Vec<T>`'s raw parts.
+    drop(unsafe { Vec::from_raw_parts(ptr.cast::<T>(), 0, cap) });
 }
 
 impl OwnedVec {
@@ -211,28 +215,28 @@ impl OwnedVec {
             len: data.len(),
             cap: data.capacity(),
             tid: TypeId::of::<T>(),
-            recycle: recycle_as::<T>,
+            release: release_as::<T>,
         }
     }
 
     /// Reassemble the owned `Vec<T>`, or `None` on an element-type
-    /// mismatch (in which case dropping `self` recycles the buffer under
-    /// its true type).
+    /// mismatch (in which case dropping `self` frees the buffer under its
+    /// true type).
     fn take<T: Datum>(self) -> Option<Vec<T>> {
         if self.tid != TypeId::of::<T>() {
             return None;
         }
         let this = ManuallyDrop::new(self);
         // SAFETY: the type just matched, so these are the raw parts of a
-        // Vec<T>; ManuallyDrop forgoes the recycling drop.
+        // Vec<T>; ManuallyDrop forgoes the releasing drop.
         Some(unsafe { Vec::from_raw_parts(this.ptr.cast::<T>(), this.len, this.cap) })
     }
 }
 
 impl Drop for OwnedVec {
     fn drop(&mut self) {
-        // SAFETY: struct invariant — `recycle` matches the buffer's type.
-        unsafe { (self.recycle)(self.ptr, self.cap) }
+        // SAFETY: struct invariant — `release` matches the buffer's type.
+        unsafe { (self.release)(self.ptr, self.cap) }
     }
 }
 
@@ -433,34 +437,54 @@ mod tests {
     }
 
     #[test]
-    fn dropped_owned_payload_recycles_into_the_pool() {
-        let mut data = crate::pool::take_vec::<u64>(50);
+    fn owned_payload_round_trips_its_allocation() {
+        // `take` hands back the very allocation that was sent, capacity
+        // included, so the release function and `Vec`'s own drop free the
+        // same layout.
+        let mut data: Vec<u64> = Vec::with_capacity(64);
         data.extend(0..50);
         let ptr = data.as_ptr();
+        let m = Message::new::<u64>(0, 0, ContextId::WORLD, data, Time(0), Time(1));
+        let (back, _) = m.take::<u64>().unwrap();
+        assert_eq!((back.as_ptr(), back.len(), back.capacity()), (ptr, 50, 64));
+        // Dropped untaken, a message frees its buffer (an empty one never
+        // allocated, and releasing it must be a no-op).
         drop(Message::new::<u64>(
             0,
             0,
             ContextId::WORLD,
-            data,
+            back,
             Time(0),
             Time(1),
         ));
-        // The allocation must be reusable from this thread's free list.
-        let back = crate::pool::take_vec::<u64>(50);
-        assert_eq!(back.as_ptr(), ptr);
-        crate::pool::recycle_vec(back);
+        drop(Message::new::<u64>(
+            0,
+            0,
+            ContextId::WORLD,
+            Vec::new(),
+            Time(0),
+            Time(1),
+        ));
     }
 
     #[test]
-    fn mismatched_take_recycles_under_the_true_type() {
-        let mut data = crate::pool::take_vec::<u32>(40);
-        data.extend(0..40);
-        let ptr = data.as_ptr();
+    fn mismatched_take_is_an_error_and_drops_soundly() {
+        let data: Vec<u32> = (0..40).collect();
         let m = Message::new::<u32>(0, 0, ContextId::WORLD, data, Time(0), Time(1));
-        assert!(m.take::<f64>().is_err());
-        let back = crate::pool::take_vec::<u32>(40);
-        assert_eq!(back.as_ptr(), ptr);
-        crate::pool::recycle_vec(back);
+        // The failed `take` consumes the message, so its payload is freed
+        // under its true type (`u32`, not the requested `f64`).
+        assert!(matches!(
+            m.take::<f64>().unwrap_err(),
+            MpiError::TypeMismatch {
+                expected: "f64",
+                got: "u32"
+            }
+        ));
+        let m = Message::new::<(u64, u64)>(0, 0, ContextId::WORLD, vec![(1, 2)], Time(0), Time(1));
+        assert!(matches!(
+            m.take_shared::<u8>().unwrap_err(),
+            MpiError::TypeMismatch { .. }
+        ));
     }
 
     #[test]

@@ -547,11 +547,13 @@ pub struct SchedProfile {
     pub pool_hits: u64,
     /// Entry-vector pool allocations across all commits.
     pub pool_misses: u64,
-    /// Payload-pool buffer reuses during the run ([`crate::pool`]).
+    /// Always 0: message payloads are plain `Vec` allocations, not pooled.
+    /// Kept only so existing profile consumers still compile; due for
+    /// removal with them.
     pub payload_hits: u64,
-    /// Payload-pool fresh allocations during the run.
+    /// Always 0 (see [`SchedProfile::payload_hits`]).
     pub payload_misses: u64,
-    /// Payload buffers dropped because both pool tiers were full.
+    /// Always 0 (see [`SchedProfile::payload_hits`]).
     pub payload_overflow: u64,
 }
 

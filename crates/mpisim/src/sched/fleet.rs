@@ -151,8 +151,8 @@ struct FleetInner {
     signal: Arc<FleetSignal>,
     /// Commit-scratch pools shared by every universe this fleet admits
     /// (see [`SchedPools`]): a warm fleet admits a universe of an
-    /// already-seen shape without touching the allocator in the epoch
-    /// hot path — `tests/alloc_free.rs` proves it.
+    /// already-seen shape without its commit path touching the allocator
+    /// — `tests/alloc_free.rs` proves it.
     pools: Arc<SchedPools>,
     state: Mutex<FleetState>,
     shutdown: AtomicBool,

@@ -72,9 +72,9 @@
 //! produce the *same* unique sorted order regardless of merge-tree shape
 //! (DESIGN.md §10): this knob too is invisible in every simulation
 //! output. The merge path additionally recycles every epoch-commit
-//! buffer (runs, shards, wake records, round vectors) through
-//! [`crate::pool`], making the steady-state epoch allocation-free at one
-//! worker.
+//! buffer (runs, shards, wake records, round vectors) through per-family
+//! free lists, so the commit machinery of a steady-state epoch allocates
+//! nothing at one worker (DESIGN.md §10).
 //!
 //! Every input to this procedure — the round order, each task's behaviour
 //! against a frozen mailbox state, the staged-message sort key, the wake
@@ -688,8 +688,7 @@ mod imp {
     /// admits (a solo [`Scheduler`] owns a private set). Sharing is
     /// unobservable in simulation output: pooled buffers are always handed
     /// out drained, so only their *capacity* — never their contents —
-    /// survives a universe boundary. The process-global size-classed
-    /// payload pool ([`crate::pool`]) is shared the same way.
+    /// survives a universe boundary.
     #[derive(Default)]
     pub(crate) struct SchedPools {
         /// Recycled entry vectors serving both commit shards and merge
@@ -821,9 +820,6 @@ mod imp {
         profile: bool,
         /// Per-worker phase profiles, merged by each worker at exit.
         profiles: Mutex<Vec<crate::obs::WorkerProfile>>,
-        /// Global payload-pool counters at construction; `take_profile`
-        /// reports this run's delta.
-        payload_base: crate::pool::PayloadCounters,
         /// The fiber stack slab (`None` under poll mode, which is exactly
         /// how poll mode escapes the stack/VMA ceiling).
         _stacks: Option<StackSlab>,
@@ -916,7 +912,6 @@ mod imp {
                 prev_live: AtomicUsize::new(p),
                 profile,
                 profiles: Mutex::new(Vec::new()),
-                payload_base: crate::pool::counters(),
                 _stacks: stacks,
             };
             // Now that the slots are at their final addresses, point each
@@ -1034,14 +1029,11 @@ mod imp {
                 return None;
             }
             let (pool_hits, pool_misses) = self.pools.entry_pool.counters();
-            let payload = crate::pool::counters() - self.payload_base;
             Some(crate::obs::SchedProfile {
                 workers: std::mem::take(&mut *self.profiles.lock()),
                 pool_hits,
                 pool_misses,
-                payload_hits: payload.hits,
-                payload_misses: payload.misses,
-                payload_overflow: payload.overflow,
+                ..Default::default()
             })
         }
 

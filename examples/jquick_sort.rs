@@ -12,17 +12,18 @@ use jquick::{
 use mpisim::{SimConfig, Transport, Universe, VendorProfile};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
+mod common;
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let p: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(16);
-    let n_per: u64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(1000);
-    let backend = args.get(3).map(String::as_str).unwrap_or("rbc").to_string();
+    let args = common::Args::parse("jquick_sort [p] [n_per_proc] [rbc|mpi]", 3);
+    let p: usize = args.positive(0, "p", 16);
+    let n_per: u64 = args.positive(1, "n_per_proc", 1000);
+    let backend = args.choice(2, "backend", &["rbc", "mpi"]);
     let n = n_per * p as u64;
 
     println!("JQuick: sorting {n} doubles on {p} simulated processes ({backend} backend)\n");
 
     let cfg = SimConfig::default().with_vendor(VendorProfile::intel_like());
-    let backend_name = backend.clone();
     let res = Universe::run(p, cfg, move |env| {
         let w = &env.world;
         let layout = Layout::new(n, p as u64);
@@ -35,7 +36,7 @@ fn main() {
 
         w.barrier().unwrap();
         let t0 = env.now();
-        let (out, stats) = if backend_name == "mpi" {
+        let (out, stats) = if backend == "mpi" {
             jquick_sort(&MpiBackend, w, data, n, &JQuickConfig::default()).unwrap()
         } else {
             jquick_sort(&RbcBackend, w, data, n, &JQuickConfig::default()).unwrap()

@@ -12,10 +12,12 @@ use jquick::quickhull::{quickhull, quickhull_reference, Point};
 use mpisim::{Transport, Universe};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
+mod common;
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let p: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(8);
-    let m: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(5000);
+    let args = common::Args::parse("quickhull [p] [points_per_proc]", 2);
+    let p: usize = args.positive(0, "p", 8);
+    let m: usize = args.positive(1, "points_per_proc", 5000);
 
     let res = Universe::run_default(p, move |env| {
         let w = &env.world;

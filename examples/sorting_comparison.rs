@@ -25,14 +25,17 @@ fn skewed(rank: u64, m: usize) -> Vec<f64> {
         .collect()
 }
 
+mod common;
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let p: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(16);
-    let n_per: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(2000);
-    assert!(
-        p.is_power_of_two(),
-        "hypercube quicksort needs a power of two"
-    );
+    let args = common::Args::parse("sorting_comparison [p] [n_per]", 2);
+    let p: usize = args.positive(0, "p", 16);
+    let n_per: usize = args.positive(1, "n_per", 2000);
+    if !p.is_power_of_two() {
+        args.fail(&format!(
+            "p must be a power of two (hypercube quicksort), got {p}"
+        ));
+    }
     let n = (n_per * p) as u64;
 
     println!("sorting {n} skewed doubles on {p} processes\n");
