@@ -339,8 +339,10 @@ where
         }
         bsms.push(BaseSm::start(&wc, layout, me, bt)?);
     }
-    let mut stall = wave_stall(world.proc_state());
+    let state = world.proc_state();
+    let mut stall = wave_stall(state);
     loop {
+        let since = state.progress();
         let mut all = true;
         for sm in bsms.iter_mut() {
             all &= sm.poll()?;
@@ -349,7 +351,6 @@ where
             break;
         }
         if stall.stalled() {
-            let state = world.proc_state();
             return Err(MpiError::Timeout {
                 rank: me as usize,
                 waited_for: "base case phase".into(),
@@ -357,7 +358,7 @@ where
                 blame: state.stall_blame(),
             });
         }
-        mpisim::yield_now_async().await;
+        state.yield_or_park_async(since).await;
     }
     for mut sm in bsms {
         settled.push(sm.take().expect("base complete"));
@@ -405,7 +406,10 @@ struct TaskMeta<C> {
     stuck: u32,
 }
 
-/// Round-robin polling of all level machines until completion.
+/// Round-robin polling of all level machines until completion. A pass in
+/// which no machine claimed or sent anything parks the rank until its
+/// next message arrives (every machine polls to quiescence, so nothing
+/// else can unblock it).
 async fn poll_all_levels<T, C>(state: &Arc<ProcState>, sms: &mut [LevelSm<T, C>]) -> Result<()>
 where
     T: SortKey + Datum,
@@ -413,6 +417,7 @@ where
 {
     let mut stall = wave_stall(state);
     loop {
+        let since = state.progress();
         let mut all = true;
         for sm in sms.iter_mut() {
             all &= sm.poll()?;
@@ -428,7 +433,7 @@ where
                 blame: state.stall_blame(),
             });
         }
-        mpisim::yield_now_async().await;
+        state.yield_or_park_async(since).await;
     }
 }
 

@@ -36,6 +36,12 @@
 //! their pattern ([`Mailbox::claim_or_subscribe`]); a push wakes exactly
 //! the subscribers whose pattern matches the new message, so a rank is only
 //! scheduled when its message actually arrived.
+//!
+//! A polling loop that waits on *several* patterns at once (a janus
+//! rank's level machines, `waitall`) instead arms the mailbox's single
+//! **arrival slot** ([`Mailbox::arm_arrival`]): the next deposit of *any*
+//! message fires it. The slot is not a pattern subscription, so it adds
+//! nothing to [`Mailbox::scans`].
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -159,6 +165,9 @@ struct Inner {
     /// [`Mailbox::FREE_QUEUE_CAP`]): their per-source queues and heads
     /// vector retain capacity, so re-opening a bucket allocates nothing.
     free_queues: Vec<KeyQueue>,
+    /// The owner's "any arrival" waker ([`Mailbox::arm_arrival`]): fired
+    /// and cleared by the next deposit, whatever it matches.
+    arrival: Option<Arc<dyn Wake>>,
 }
 
 /// One rank's incoming-message queue with MPI matching semantics:
@@ -186,6 +195,7 @@ impl Mailbox {
                 next_token: 0,
                 scans: 0,
                 free_queues: Vec::new(),
+                arrival: None,
             }),
             cv: Condvar::new(),
         }
@@ -197,7 +207,8 @@ impl Mailbox {
 
     /// Deposit one message under the held lock: remove every matching
     /// subscription (appending `(idx, waker)` pairs to `fired`, in
-    /// subscription order) and insert the message. Both push flavours go
+    /// subscription order, then the armed arrival slot, if any) and
+    /// insert the message. Both push flavours go
     /// through this single helper so their matching semantics can never
     /// drift apart — the sharded commit's serial-oracle equivalence
     /// (DESIGN.md §7) depends on [`Mailbox::push`] and
@@ -212,6 +223,9 @@ impl Mailbox {
             } else {
                 i += 1;
             }
+        }
+        if let Some(w) = g.arrival.take() {
+            fired.push((idx, w));
         }
         let Inner {
             keys, free_queues, ..
@@ -362,6 +376,19 @@ impl Mailbox {
     /// already removed their entry.
     pub fn unsubscribe(&self, token: WaitToken) {
         self.inner.lock().waiters.retain(|w| w.token != token.0);
+    }
+
+    /// Arm the arrival slot: `waker` fires on the next deposit of *any*
+    /// message, then the slot empties. Only the mailbox's owner arms it,
+    /// and a rank waits in one place at a time, so one slot suffices
+    /// (re-arming replaces the previous waker).
+    pub fn arm_arrival(&self, waker: &Arc<dyn Wake>) {
+        self.inner.lock().arrival = Some(Arc::clone(waker));
+    }
+
+    /// Empty the arrival slot. Idempotent: a deposit already emptied it.
+    pub fn disarm_arrival(&self) {
+        self.inner.lock().arrival = None;
     }
 
     /// Block (in wall-clock time) until a matching message can be claimed.
@@ -666,6 +693,35 @@ mod tests {
         mb.push_batch(&mut Vec::new(), &mut fired);
         assert!(fired.is_empty());
         assert!(mb.is_empty());
+    }
+
+    #[test]
+    fn arrival_slot_fires_once_on_any_deposit_without_scanning() {
+        let mb = Mailbox::new();
+        let counter = Arc::new(CountWake(AtomicUsize::new(0)));
+        let waker: Arc<dyn Wake> = Arc::<CountWake>::clone(&counter);
+        mb.arm_arrival(&waker);
+        // Any message fires it, whatever its context, tag or source, and
+        // it stays out of the waiter-scan count.
+        let mut fired = Vec::new();
+        mb.push_batch(
+            &mut vec![msg(3, 9, 4, 1, 0), msg(1, 5, 0, 2, 0)],
+            &mut fired,
+        );
+        assert_eq!(fired.len(), 1);
+        assert_eq!(fired[0].0, 0, "the first deposit is the trigger");
+        assert_eq!(mb.scans(), 0);
+        mb.push(msg(1, 5, 0, 3, 0)); // slot already emptied: no wake
+        assert_eq!(counter.0.load(Ordering::SeqCst), 0);
+        // A disarmed slot never fires.
+        mb.arm_arrival(&waker);
+        mb.disarm_arrival();
+        mb.push(msg(1, 5, 0, 4, 0));
+        assert_eq!(counter.0.load(Ordering::SeqCst), 0);
+        mb.arm_arrival(&waker);
+        mb.push(msg(2, 6, 0, 5, 0));
+        assert_eq!(counter.0.load(Ordering::SeqCst), 1);
+        assert_eq!(mb.len(), 5);
     }
 
     #[test]

@@ -83,10 +83,10 @@ impl Request {
         wait_on(&mut *self.0)
     }
 
-    /// [`Request::wait`] as a maybe-async core: the polling loop yields
-    /// through [`crate::sched::poll::yield_now_async`], so it suspends one
-    /// epoch per unproductive poll under `Backend::Poll` instead of
-    /// panicking in the sync yield.
+    /// [`Request::wait`] as a maybe-async core: an unproductive poll
+    /// suspends through [`ProcState::yield_or_park_async`] — it parks
+    /// until the next arrival under `Backend::Poll` and the fiber backend
+    /// instead of re-polling every epoch.
     pub async fn wait_async(&mut self) -> Result<()> {
         wait_on_async(&mut *self.0).await
     }
@@ -129,18 +129,36 @@ fn wait_on(p: &mut dyn Progress) -> Result<()> {
 }
 
 async fn wait_on_async(p: &mut dyn Progress) -> Result<()> {
-    let mut stall = stall_guard(p.proc_state());
+    let state = p.proc_state().cloned();
+    let mut stall = stall_guard(state.as_ref());
     loop {
+        let since = progress_of(state.as_ref());
         if p.poll()? {
             return Ok(());
         }
         if stall.stalled() {
             return Err(wait_timeout_err(
-                p.proc_state(),
+                state.as_ref(),
                 "nonblocking operation (wait)",
             ));
         }
-        crate::sched::poll::yield_now_async().await;
+        idle_async(state.as_ref(), since).await;
+    }
+}
+
+/// [`ProcState::progress`] before a poll pass (0 for detached machines).
+fn progress_of(state: Option<&Arc<ProcState>>) -> u64 {
+    state.map_or(0, |s| s.progress())
+}
+
+/// End an unproductive pass of an async wait loop: park until the next
+/// arrival when the pass claimed and sent nothing (see
+/// [`ProcState::yield_or_park_async`]). Detached machines, with no rank
+/// state to read progress from, yield one epoch.
+async fn idle_async(state: Option<&Arc<ProcState>>, since: u64) {
+    match state {
+        Some(s) => s.yield_or_park_async(since).await,
+        None => crate::sched::poll::yield_now_async().await,
     }
 }
 
@@ -172,18 +190,20 @@ pub fn waitall(reqs: &mut [Request]) -> Result<()> {
 
 /// [`waitall`] as a maybe-async core (see [`Request::wait_async`]).
 pub async fn waitall_async(reqs: &mut [Request]) -> Result<()> {
-    let mut stall = stall_guard(reqs.iter().find_map(|r| r.0.proc_state()));
+    let state = reqs.iter().find_map(|r| r.0.proc_state()).cloned();
+    let mut stall = stall_guard(state.as_ref());
     loop {
+        let since = progress_of(state.as_ref());
         if testall(reqs)? {
             return Ok(());
         }
         if stall.stalled() {
             return Err(wait_timeout_err(
-                reqs.iter().find_map(|r| r.0.proc_state()),
+                state.as_ref(),
                 "nonblocking operations (waitall)",
             ));
         }
-        crate::sched::poll::yield_now_async().await;
+        idle_async(state.as_ref(), since).await;
     }
 }
 

@@ -31,6 +31,8 @@ pub enum WaitReason {
     Recv(MatchPattern),
     /// Blocked in a probe for this pattern.
     Probe(MatchPattern),
+    /// Parked by a polling wait loop until any message arrives.
+    Arrival,
 }
 
 impl std::fmt::Display for WaitReason {
@@ -38,6 +40,7 @@ impl std::fmt::Display for WaitReason {
         let (verb, pat) = match self {
             WaitReason::Recv(p) => ("recv", p),
             WaitReason::Probe(p) => ("probe", p),
+            WaitReason::Arrival => return f.write_str("any arrival"),
         };
         write!(f, "{verb}({:?}, tag={}, {})", pat.src, pat.tag, pat.ctx)
     }
@@ -311,6 +314,8 @@ pub struct ProcState {
     /// thread-local — because fibers yield mid-collective and resume on a
     /// different worker thread.
     op_class: AtomicU8,
+    /// Claims and sends this rank has made (see [`ProcState::progress`]).
+    progress: AtomicU64,
 }
 
 impl ProcState {
@@ -328,6 +333,7 @@ impl ProcState {
             icomm_counter: AtomicU32::new(0),
             send_seq: AtomicU64::new(0),
             op_class: AtomicU8::new(OpClass::P2p as u8),
+            progress: AtomicU64::new(0),
         })
     }
 
@@ -439,6 +445,33 @@ impl ProcState {
         self.router.count_send(self.global_rank, bytes);
         self.router.class_cells[self.global_rank].add(self.cur_class(), bytes);
         (t0, t0 + transfer)
+    }
+
+    // ---- polling waits -----------------------------------------------------
+
+    /// Messages this rank has claimed plus messages it has sent. A polling
+    /// wait loop reads it before a pass over its requests: if the pass
+    /// left it unchanged, the pass was a pure function of the mailbox, and
+    /// repeating it before the next arrival is a no-op.
+    pub fn progress(&self) -> u64 {
+        self.progress.load(Ordering::Relaxed)
+    }
+
+    /// End one unfinished pass of a polling wait loop. If the pass
+    /// claimed and sent nothing (`progress()` still equals `since`, read
+    /// before the pass), park until the next message is committed into
+    /// this rank's mailbox, so a waiting rank costs no scheduler
+    /// resumptions under `Backend::Poll` and the fiber backend. A pass
+    /// that did make progress yields for one epoch instead: what it
+    /// claimed or sent may let the next pass go further. On the thread
+    /// backend both arms yield the OS thread.
+    pub async fn yield_or_park_async(&self, since: u64) {
+        if self.progress() == since {
+            let mb = &self.router.mailboxes[self.global_rank];
+            crate::sched::poll::park_until_arrival_async(mb).await;
+        } else {
+            crate::sched::poll::yield_now_async().await;
+        }
     }
 
     // ---- fault injection ---------------------------------------------------
@@ -571,6 +604,7 @@ impl ProcState {
     /// multi-worker cooperative runs deterministic; on a plain thread it is
     /// deposited into the destination mailbox immediately.
     fn dispatch(&self, dest_global: usize, msg: Message) {
+        self.progress.fetch_add(1, Ordering::Relaxed);
         if let Some(msg) = crate::sched::try_stage_send(dest_global, msg) {
             self.router.mailboxes[dest_global].push(msg);
         }
@@ -679,6 +713,7 @@ impl ProcState {
     /// `Deliver` trace event, shared verbatim by the sync and async paths
     /// so the backends cannot drift.
     fn account_delivery(&self, m: Message) -> Message {
+        self.progress.fetch_add(1, Ordering::Relaxed);
         self.advance_to(m.arrival);
         self.advance(self.router.cost.recv_overhead);
         self.trace_push(|| TraceEvent::Deliver {
@@ -697,15 +732,7 @@ impl ProcState {
             return Err(self.crashed_err("try_recv", pat));
         }
         match self.router.mailboxes[self.global_rank].try_claim(pat) {
-            Some(m) => {
-                self.advance_to(m.arrival);
-                self.advance(self.router.cost.recv_overhead);
-                self.trace_push(|| TraceEvent::Deliver {
-                    src: m.src_global,
-                    bytes: m.bytes,
-                });
-                Ok(Some(m))
-            }
+            Some(m) => Ok(Some(self.account_delivery(m))),
             None if crate::sched::current_poisoned() => Err(self.poisoned_err("try_recv", pat)),
             None => Ok(None),
         }

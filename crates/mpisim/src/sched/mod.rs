@@ -1618,10 +1618,11 @@ mod imp {
                 .wakeups
                 .fetch_add(woken_count as u64, Ordering::Relaxed);
             // Crash-stop stagnation detector. With a crashed rank in the
-            // fault plan, a peer *polling* for its messages (nonblocking
-            // collectives, sorter wave loops) yields forever: the round
-            // never empties, so the exact deadlock detector below cannot
-            // fire. Progress is epoch-observable — a message staged, a
+            // fault plan, a peer *polling* for its messages in a sync wait
+            // loop (`wait`, `waitall`, `rbc::wait`; the async loops park
+            // on arrival instead) yields forever: the round never
+            // empties, so the exact deadlock detector below cannot fire.
+            // Progress is epoch-observable — a message staged, a
             // task woken, a task finished. STAGNANT_EPOCH_LIMIT epochs of
             // pure yields while crashes are armed mean no progress is
             // possible any more: poison every unfinished task so polling
@@ -2174,6 +2175,18 @@ mod imp {
                 .switch_to_worker()
         };
         slot.core.wait_reason.lock().take();
+    }
+
+    /// The fiber half of [`poll::park_until_arrival_async`]: park until
+    /// the next deposit into `mb` fires its arrival slot (or the
+    /// deadlock detector poisons the task).
+    pub(super) fn park_arrival_coop(mb: &Mailbox) {
+        let slot = current_slot().expect("park_arrival_coop runs on a fiber");
+        slot.core.status.store(ST_BLOCKING, Ordering::Release);
+        mb.arm_arrival(&slot.waker);
+        park(slot, WaitReason::Arrival);
+        // Woken by a deposit (slot already empty) or by the poisoner.
+        mb.disarm_arrival();
     }
 
     pub(super) fn deadlock_err(rank: usize, reason: &WaitReason, vnow: Time) -> MpiError {

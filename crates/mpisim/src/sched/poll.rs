@@ -137,6 +137,36 @@ pub async fn yield_now_async() {
     super::yield_now();
 }
 
+/// Park the calling rank until the next message is committed into its
+/// own mailbox `mb` — the "any arrival" wake-up of polling wait loops
+/// (DESIGN.md §12). A poll body suspends with a block intent and the
+/// mailbox's arrival slot armed; a fiber parks the same way; a thread,
+/// which has no scheduler to wake it, just yields. The deadlock
+/// detector poisons and wakes a parked rank like a blocked receiver;
+/// the park then returns and the caller's next poll observes the
+/// poison.
+///
+/// Only sound after a poll pass that claimed and sent nothing: such a
+/// pass sees the same mailbox until the next deposit, so every
+/// resumption skipped while parked would have been a no-op.
+pub(crate) async fn park_until_arrival_async(mb: &crate::mailbox::Mailbox) {
+    #[cfg(all(unix, any(target_arch = "x86_64", target_arch = "aarch64")))]
+    {
+        if super::on_poll_body() {
+            imp::ArrivalFut { mb, parked: false }.await;
+            return;
+        }
+        if super::on_fiber() {
+            super::imp::park_arrival_coop(mb);
+            return;
+        }
+    }
+    // Without scheduler support every rank is a thread: nothing parks.
+    #[cfg(not(all(unix, any(target_arch = "x86_64", target_arch = "aarch64"))))]
+    let _ = mb;
+    super::yield_now();
+}
+
 #[cfg(all(unix, any(target_arch = "x86_64", target_arch = "aarch64")))]
 pub(crate) use imp::{claim_poll, probe_poll, FutureBody};
 
@@ -202,6 +232,34 @@ mod imp {
             self.fired = true;
             let slot = current_slot().expect("poll-mode yield runs on a scheduler task");
             slot.intent.store(INTENT_YIELD, Ordering::Release);
+            Poll::Pending
+        }
+    }
+
+    /// The poll-mode half of [`park_until_arrival_async`]: the claim
+    /// protocol's announce → arm → block-intent handshake, with the
+    /// mailbox's arrival slot in place of a pattern subscription.
+    pub(super) struct ArrivalFut<'a> {
+        pub(super) mb: &'a Mailbox,
+        pub(super) parked: bool,
+    }
+
+    impl Future for ArrivalFut<'_> {
+        type Output = ();
+        fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
+            let slot = current_slot().expect("poll-mode park runs on a scheduler task");
+            if self.parked {
+                // Woken by a deposit (which emptied the slot) or by the
+                // poisoner (which did not). Idempotent either way.
+                self.mb.disarm_arrival();
+                slot.core.wait_reason.lock().take();
+                return Poll::Ready(());
+            }
+            self.parked = true;
+            slot.core.status.store(ST_BLOCKING, Ordering::Release);
+            self.mb.arm_arrival(&slot.waker);
+            *slot.core.wait_reason.lock() = Some(WaitReason::Arrival);
+            slot.intent.store(INTENT_BLOCK, Ordering::Release);
             Poll::Pending
         }
     }

@@ -5,8 +5,8 @@
 use std::time::Duration;
 
 use mpisim::{
-    nbcoll, ops, CommitAlgo, FaultPlan, MpiError, RankHealth, SimConfig, Src, Time, Transport,
-    Universe,
+    nbcoll, ops, Backend, CommitAlgo, FaultPlan, MpiError, RankHealth, SimConfig, Src, Time,
+    Transport, Universe,
 };
 use rbc::RbcComm;
 
@@ -131,6 +131,57 @@ fn nonblocking_wait_times_out_rather_than_spinning_forever() {
         }
     });
     assert!(matches!(res.per_rank[0], Some(MpiError::Timeout { .. })));
+}
+
+/// After an all-reduce, rank 0 of a 4-rank async program waits
+/// (`Request::wait_async`) on a receive rank 1 never sends. Returns rank
+/// 0's error: its full text (blame included) and the blamed ranks.
+fn wedged_wait_error(backend: Backend, workers: usize, timeout: Duration) -> (String, Vec<usize>) {
+    let cfg = SimConfig::cooperative()
+        .with_backend(backend)
+        .with_workers(workers)
+        .with_timeout(timeout);
+    let res = Universe::run_poll(4, cfg, |env| async move {
+        let w = &env.world;
+        w.allreduce_async(&[w.rank() as u64], ops::sum::<u64>())
+            .await
+            .unwrap();
+        if w.rank() != 0 {
+            return None;
+        }
+        let mut req = nbcoll::Request::new(w.irecv::<u64>(Src::Rank(1), 3));
+        Some(req.wait_async().await.unwrap_err())
+    });
+    match res.per_rank[0].as_ref().expect("rank 0's wait must fail") {
+        e @ MpiError::Timeout { rank: 0, blame, .. } => (e.to_string(), blame.ranks()),
+        other => panic!("expected a Timeout on rank 0, got {other:?}"),
+    }
+}
+
+#[test]
+fn wedged_async_wait_fails_through_the_exact_deadlock_detector() {
+    // The wait parks until an arrival that never comes; once every other
+    // rank has finished, the scheduler's deadlock detector poisons it and
+    // the next poll fails. No wall clock is involved: the same error
+    // comes back at any worker count, on poll and fiber bodies alike, and
+    // with a one-hour receive timeout.
+    let (text, blamed) = wedged_wait_error(Backend::Poll, 1, Duration::from_secs(30));
+    assert!(
+        text.contains("tag=3") && text.contains("cooperative stall"),
+        "got: {text}"
+    );
+    assert_eq!(blamed, vec![1], "blame must name the silent sender");
+    for backend in [Backend::Poll, Backend::Cooperative] {
+        for workers in [1usize, 4] {
+            for timeout in [Duration::from_secs(30), Duration::from_secs(3600)] {
+                assert_eq!(
+                    wedged_wait_error(backend, workers, timeout),
+                    (text.clone(), blamed.clone()),
+                    "{backend:?}, {workers} worker(s), timeout {timeout:?}"
+                );
+            }
+        }
+    }
 }
 
 /// Run a 4-rank receive cycle (a textbook deadlock) under the cooperative
