@@ -175,16 +175,16 @@ fn bench_exchange_encoding(c: &mut Criterion) {
 /// wildcard-drains its in-degree — the exact shape `tests/commit_shard.rs`
 /// uses. The storm repeats for several rounds inside one universe so the
 /// epoch commit (the ordering step under measurement) amortises the
-/// fiber/universe setup out of the numbers.
+/// universe setup out of the numbers.
 fn commit_storm(p: usize, per: usize, algo: mpisim::SortAlgo) -> mpisim::Time {
-    use mpisim::{SimConfig, Src, Transport, Universe};
+    use mpisim::{recv_async, SimConfig, Src, Transport, Universe};
     const OFFSETS: [usize; 4] = [1, 4, 9, 16];
     const ROUNDS: usize = 4;
     let cfg = SimConfig::cooperative()
         .with_seed(7)
         .with_workers(4)
         .with_sort_algo(algo);
-    let res = Universe::run(p, cfg, |env| {
+    let res = Universe::run_poll(p, cfg, |env| async move {
         let w = &env.world;
         let r = w.rank();
         for _round in 0..ROUNDS {
@@ -206,7 +206,7 @@ fn commit_storm(p: usize, per: usize, algo: mpisim::SortAlgo) -> mpisim::Time {
                         .filter(|(k, _)| k % 3 == t as usize)
                         .count();
                 for _ in 0..n {
-                    w.recv::<u64>(Src::Any, t).unwrap();
+                    recv_async::<u64, _>(w, Src::Any, t).await.unwrap();
                 }
             }
         }

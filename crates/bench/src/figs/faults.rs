@@ -13,14 +13,14 @@
 //! are exactly reproducible and CI-gateable.
 
 use jquick::{
-    imbalance_factor, jquick_sort, multilevel, samplesort, workloads, JQuickConfig, Layout,
-    RbcBackend, SampleSortCfg,
+    imbalance_factor_async, jquick_sort_async, multilevel, samplesort, workloads, JQuickConfig,
+    Layout, RbcBackend, SampleSortCfg,
 };
 use mpisim::{FaultPlan, SimConfig, Time, Transport};
 use rbc::RbcComm;
 
 use crate::figs::scale;
-use crate::{measure, ms, reps, write_bench_json, Table};
+use crate::{measure_async, ms, reps, write_bench_json, Table};
 
 /// Fraction of ranks slowed in every faulted configuration.
 const STRAGGLER_FRAC: f64 = 0.25;
@@ -40,7 +40,7 @@ fn faulted_sort_time(algo: &'static str, p: usize, n_per: u64, max_factor: f64) 
     let imb = std::sync::Mutex::new(1.0f64);
     let t = {
         let imb = &imb;
-        measure(p, cfg, reps(3), move |env, rep| {
+        measure_async(p, cfg, reps(3), move |env, rep| async move {
             let w = &env.world;
             let layout = Layout::new(n, p as u64);
             let data = workloads::generate(
@@ -49,30 +49,32 @@ fn faulted_sort_time(algo: &'static str, p: usize, n_per: u64, max_factor: f64) 
                 rep as u64 * 13 + 1,
                 workloads::Dist::Skewed,
             );
-            w.barrier().unwrap();
+            w.barrier_async().await.unwrap();
             let t0 = env.now();
             let out = match algo {
                 "jquick" => {
-                    jquick_sort(&RbcBackend, w, data, n, &JQuickConfig::default())
+                    jquick_sort_async(&RbcBackend, w, data, n, &JQuickConfig::default())
+                        .await
                         .unwrap()
                         .0
                 }
-                "samplesort" => {
-                    samplesort::sample_sort(w, data, &SampleSortCfg::default()).unwrap()
-                }
+                "samplesort" => samplesort::sample_sort_async(w, data, &SampleSortCfg::default())
+                    .await
+                    .unwrap(),
                 _ => {
                     let world = RbcComm::create(w);
-                    multilevel::multilevel_sample_sort(
+                    multilevel::multilevel_sample_sort_async(
                         &world,
                         data,
                         &multilevel::MultiLevelCfg::default(),
                     )
+                    .await
                     .unwrap()
                     .0
                 }
             };
             let dt = env.now() - t0;
-            let f = imbalance_factor(w, out.len()).unwrap();
+            let f = imbalance_factor_async(w, out.len()).await.unwrap();
             if w.rank() == 0 {
                 let mut g = imb.lock().unwrap();
                 *g = g.max(f);

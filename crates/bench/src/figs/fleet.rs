@@ -10,7 +10,7 @@
 //!
 //! The figure also emits the fleet-vs-solo oracle artefacts CI
 //! byte-diffs: `results/fleet_oracle_solo.txt` (a traced storm run solo
-//! through [`Universe::run`] at 1 worker) and
+//! through [`Universe::run_poll`] at 1 worker) and
 //! `results/fleet_oracle_fleet.txt` (the *same* universe co-scheduled in
 //! an 8-worker fleet among different-seed decoys). Per DESIGN.md §11 the
 //! two must be byte-identical — the run panics if they are not, and CI
@@ -22,15 +22,22 @@
 //! identical at every admission window before reporting any throughput:
 //! a fast-but-wrong fleet must never produce a table.
 
+use std::future::Future;
+use std::pin::Pin;
 use std::time::Instant;
 
-use jquick::{jquick_sort, workloads, JQuickConfig, Layout, RbcBackend};
-use mpisim::{nbcoll, ops, FaultPlan, Fleet, ProcEnv, SimConfig, Src, Time, Transport, Universe};
+use jquick::{jquick_sort_async, workloads, JQuickConfig, Layout, RbcBackend};
+use mpisim::{
+    nbcoll, ops, recv_async, FaultPlan, Fleet, ProcEnv, SimConfig, Src, Time, Transport, Universe,
+};
 
 use crate::{quick_mode, write_bench_json, Table};
 
+/// A boxed async rank program returning the rank's fingerprint.
+type Program = Box<dyn Fn(ProcEnv) -> Pin<Box<dyn Future<Output = u64> + Send>> + Send + Sync>;
+
 /// One admitted universe: its rank count, config, and program.
-type Scenario = (usize, SimConfig, Box<dyn Fn(ProcEnv) -> u64 + Send + Sync>);
+type Scenario = (usize, SimConfig, Program);
 
 const SORT_P: usize = 12;
 const SORT_NPER: u64 = 64;
@@ -45,16 +52,20 @@ fn fnv(acc: u64, x: u64) -> u64 {
 
 /// A small perfectly-balanced quicksort over skewed input; fingerprints
 /// the locally held slice of the sorted output.
-fn sort_prog(seed: u64) -> Box<dyn Fn(ProcEnv) -> u64 + Send + Sync> {
+fn sort_prog(seed: u64) -> Program {
     Box::new(move |env| {
-        let w = &env.world;
-        let p = w.size() as u64;
-        let n = SORT_NPER * p;
-        let layout = Layout::new(n, p);
-        let data = workloads::generate(&layout, w.rank() as u64, seed, workloads::Dist::Skewed);
-        let (out, _) = jquick_sort(&RbcBackend, w, data, n, &JQuickConfig::default()).unwrap();
-        out.iter()
-            .fold(0xcbf2_9ce4_8422_2325, |a, x| fnv(a, x.to_bits()))
+        Box::pin(async move {
+            let w = &env.world;
+            let p = w.size() as u64;
+            let n = SORT_NPER * p;
+            let layout = Layout::new(n, p);
+            let data = workloads::generate(&layout, w.rank() as u64, seed, workloads::Dist::Skewed);
+            let (out, _) = jquick_sort_async(&RbcBackend, w, data, n, &JQuickConfig::default())
+                .await
+                .unwrap();
+            out.iter()
+                .fold(0xcbf2_9ce4_8422_2325, |a, x| fnv(a, x.to_bits()))
+        })
     })
 }
 
@@ -62,36 +73,39 @@ fn sort_prog(seed: u64) -> Box<dyn Fn(ProcEnv) -> u64 + Send + Sync> {
 /// tests); fingerprints every matched `(source, value)` pair plus the
 /// nonblocking all-reduce result — or the full error display on faulted
 /// runs, so `RoundBlame` text lands in the fingerprint too.
-fn storm_prog(p: usize, per: usize) -> Box<dyn Fn(ProcEnv) -> u64 + Send + Sync> {
-    Box::new(move |env| {
-        let w = &env.world;
-        let r = w.rank();
-        let body = || -> mpisim::Result<u64> {
-            for i in 0..per {
-                for (k, off) in FANOUT_OFFSETS.iter().enumerate() {
-                    let tag = (k % 3) as u64;
-                    w.send(&[(r * 1000 + i * 10 + k) as u64], (r + off) % p, tag)?;
-                }
+fn storm_prog(p: usize, per: usize) -> Program {
+    Box::new(move |env| Box::pin(storm_rank(env, p, per)))
+}
+
+/// One rank of [`storm_prog`].
+async fn storm_rank(env: ProcEnv, p: usize, per: usize) -> u64 {
+    let w = &env.world;
+    let r = w.rank();
+    let body = async {
+        for i in 0..per {
+            for (k, off) in FANOUT_OFFSETS.iter().enumerate() {
+                let tag = (k % 3) as u64;
+                w.send(&[(r * 1000 + i * 10 + k) as u64], (r + off) % p, tag)?;
             }
-            let coll = nbcoll::iallreduce(w, &[r as u64 + 1], 300, ops::sum::<u64>())?;
-            let mut acc = 0xcbf2_9ce4_8422_2325u64;
-            for t in 0..3u64 {
-                let n = per
-                    * (0..FANOUT_OFFSETS.len())
-                        .filter(|&k| (k % 3) as u64 == t)
-                        .count();
-                for _ in 0..n {
-                    let (v, st) = w.recv::<u64>(Src::Any, t)?;
-                    acc = fnv(fnv(acc, st.source as u64), v[0]);
-                }
-            }
-            Ok(fnv(acc, coll.wait_result()?[0]))
-        };
-        match body() {
-            Ok(x) => x,
-            Err(e) => format!("{e}").bytes().fold(0, |a, b| fnv(a, b as u64)),
         }
-    })
+        let coll = nbcoll::iallreduce(w, &[r as u64 + 1], 300, ops::sum::<u64>())?;
+        let mut acc = 0xcbf2_9ce4_8422_2325u64;
+        for t in 0..3u64 {
+            let n = per
+                * (0..FANOUT_OFFSETS.len())
+                    .filter(|&k| (k % 3) as u64 == t)
+                    .count();
+            for _ in 0..n {
+                let (v, st) = recv_async::<u64, _>(w, Src::Any, t).await?;
+                acc = fnv(fnv(acc, st.source as u64), v[0]);
+            }
+        }
+        mpisim::Result::Ok(fnv(acc, coll.wait_result_async().await?[0]))
+    };
+    match body.await {
+        Ok(x) => x,
+        Err(e) => format!("{e}").bytes().fold(0, |a, b| fnv(a, b as u64)),
+    }
 }
 
 /// The fixed mix, `batches` times over: four sorts, two clean storms, a
@@ -181,7 +195,7 @@ fn probe_cfg() -> SimConfig {
 
 /// Write both oracle artefacts and assert they are identical.
 fn oracle_probe() {
-    let solo = Universe::run(STORM_P, probe_cfg(), storm_prog(STORM_P, STORM_PER));
+    let solo = Universe::run_poll(STORM_P, probe_cfg(), storm_prog(STORM_P, STORM_PER));
     let solo_text = oracle_text(&solo);
 
     // The same universe inside a busy 8-worker fleet: decoys ahead of

@@ -1,10 +1,8 @@
 //! Large-p sweep: the paper's headline regime and beyond — p = 2^10 ..
-//! 2^15 on the cooperative fiber backend, and up to **p = 2^20** under
-//! `MPISIM_BACKEND=poll`, where every rank is a stackless poll-mode body
-//! (a few hundred bytes of future state instead of a 128 KiB fiber stack
-//! plus guard-page VMAs). Rows at shared p are **byte-identical** across
-//! the two backends — CI diffs the CSVs — so the tail of the sweep is a
-//! genuine extension of the same experiment, not a different one.
+//! 2^15, then the sparse tail up to **p = 2^20**, on the cooperative
+//! poll scheduler, where every rank is a stackless poll-mode body (a few
+//! hundred bytes of future state). The rows are **byte-identical** for
+//! every worker count and commit algorithm — CI diffs the CSVs.
 //!
 //! Two tables:
 //!
@@ -28,14 +26,12 @@
 //! dominated by α·log p, plus the √p-element leader sorts); JQuick's
 //! makespan polylogarithmic in p at fixed n/p.
 //!
-//! Sweep control: `BENCH_QUICK=1` caps the sweep at 2^12 (both backends —
-//! the quick poll and fiber sweeps cover the same p, which is what the CI
-//! byte-diff compares); the poll backend otherwise extends the fiber range
-//! with the sparse tail {2^16, 2^18, 2^20}. `LARGEP_MAX_EXP=<e>` caps the
-//! sweep at 2^e (lenient: unparsable values are ignored), and under the
-//! poll backend an explicit cap opts the tail in even in quick mode, so
-//! CI can run `BENCH_QUICK=1 LARGEP_MAX_EXP=18` as a bounded
-//! past-the-ceiling smoke.
+//! Sweep control: `BENCH_QUICK=1` caps the sweep at 2^12; the full sweep
+//! covers 2^10..2^15 plus the sparse tail {2^16, 2^18, 2^20}.
+//! `LARGEP_MAX_EXP=<e>` caps the sweep at 2^e (lenient: unparsable values
+//! are ignored), and an explicit cap opts the tail in even in quick mode,
+//! so CI can run `BENCH_QUICK=1 LARGEP_MAX_EXP=18` as a bounded smoke
+//! past the paper's 2^15.
 
 use jquick::{jquick_sort_async, JQuickConfig, Layout, RbcBackend};
 use mpisim::{coll, Backend, SimConfig, Time, Transport, Universe};
@@ -43,8 +39,8 @@ use rbc::RbcComm;
 
 use crate::{measure_async, ms, quick_mode, reps, write_artifact, write_bench_json, Table};
 
-/// Largest process exponent of the fiber-backed part of the sweep
-/// (paper: 2^15).
+/// Largest process exponent of the dense part of the sweep (paper:
+/// 2^15).
 fn max_exp() -> u32 {
     if quick_mode() {
         12
@@ -53,12 +49,12 @@ fn max_exp() -> u32 {
     }
 }
 
-/// The swept process exponents for the configured backend: the shared
-/// fiber range, plus the sparse poll-only tail {2^16, 2^18, 2^20} past
-/// the fiber ceiling. `LARGEP_MAX_EXP` caps both parts — and, under the
-/// poll backend, an explicit cap opts the tail in even in quick mode, so
-/// CI can run e.g. `BENCH_QUICK=1 LARGEP_MAX_EXP=18` as a bounded
-/// past-the-ceiling smoke without paying for the full fiber range.
+/// The swept process exponents for the configured backend: the dense
+/// range, plus — on the poll scheduler, not on rank threads — the sparse
+/// tail {2^16, 2^18, 2^20} past the paper's 2^15. `LARGEP_MAX_EXP` caps
+/// both parts, and an explicit cap opts the tail in even in quick mode,
+/// so CI can run e.g. `BENCH_QUICK=1 LARGEP_MAX_EXP=18` as a bounded
+/// smoke without paying for the full dense range.
 fn exps(backend: Backend) -> Vec<u32> {
     let cap = std::env::var("LARGEP_MAX_EXP")
         .ok()
@@ -147,13 +143,13 @@ fn jquick_time(p: usize, n_per: u64) -> Time {
 ///
 /// * `results/largep_trace.txt` — the canonical text rendering of the
 ///   deterministic trace. CI byte-diffs this file across
-///   `MPISIM_COOP_WORKERS`, `MPISIM_COOP_COMMIT`, and `MPISIM_BACKEND`
+///   `MPISIM_COOP_WORKERS`, `MPISIM_COOP_COMMIT`, and `MPISIM_COOP_SORT`
 ///   settings; any difference means scheduling leaked into the model.
 /// * Chrome `trace_event` JSON (default `results/largep_trace.json`,
 ///   overridable via `MPISIM_TRACE_OUT`) — drop into Perfetto /
 ///   `chrome://tracing`, one track per rank in virtual microseconds.
 /// * `results/BENCH_sched_profile.json` — the host wall-clock scheduler
-///   profile (per-worker run/commit/idle split, shard claims, stack-pool
+///   profile (per-worker run/commit/idle split, shard claims, entry-pool
 ///   hits). Deliberately *not* a gated artefact: it measures this
 ///   machine, not the model.
 pub fn traced_slice() {
@@ -189,12 +185,11 @@ pub fn traced_slice() {
 
 /// Regenerate the large-p tables and write their CSVs plus a
 /// machine-readable `results/BENCH_largep.json` (virtual times, per-point
-/// host wall-clock, and the cooperative worker count — the artefact CI
-/// diffs byte-wise across worker counts **and backends**: the
-/// virtual-time columns must be identical for any `MPISIM_COOP_WORKERS`
-/// and, at shared p, for `MPISIM_BACKEND=poll` vs fiber; only wall-clock
-/// may differ, which is why wall-clock lives in the JSON and not the
-/// CSVs).
+/// host wall-clock, and the cooperative worker count — CI diffs the CSVs
+/// byte-wise across worker counts and commit algorithms: the
+/// virtual-time columns must be identical for any `MPISIM_COOP_WORKERS`;
+/// only wall-clock may differ, which is why wall-clock lives in the JSON
+/// and not the CSVs).
 pub fn run() -> Vec<Table> {
     let cfg = SimConfig::cooperative();
     let (workers, backend) = (cfg.coop_workers, cfg.backend);

@@ -12,7 +12,6 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-#[cfg(all(unix, any(target_arch = "x86_64", target_arch = "aarch64")))]
 pub mod fleet;
 pub mod largep;
 pub mod sorters;

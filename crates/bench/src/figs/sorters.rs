@@ -8,7 +8,7 @@
 //! time) and their output imbalance on skewed input.
 //!
 //! The second half sweeps the **large-p regime** (2^10..2^15, cooperative
-//! scheduler backend): multi-level sample sort at different fan-outs — and
+//! poll scheduler, async rank bodies): multi-level sample sort at different fan-outs — and
 //! therefore level counts ⌈log_k p⌉ — against JQuick at fixed n/p. This is
 //! where the §IV families actually separate: at small p every variant is a
 //! couple of exchanges, while at 2^15 the fan-out choice changes the level
@@ -16,14 +16,14 @@
 //! level while JQuick stays perfectly balanced by construction.
 
 use jquick::{
-    hypercube, imbalance_factor, jquick_sort, multilevel, samplesort, workloads, JQuickConfig,
-    Layout, PivotCfg, RbcBackend, SampleSortCfg,
+    hypercube, imbalance_factor, imbalance_factor_async, jquick_sort, jquick_sort_async,
+    multilevel, samplesort, workloads, JQuickConfig, Layout, PivotCfg, RbcBackend, SampleSortCfg,
 };
 use mpisim::{SimConfig, Time, Transport};
 use rbc::RbcComm;
 
 use crate::figs::scale;
-use crate::{measure, ms, pow2_sweep, reps, Table};
+use crate::{measure, measure_async, ms, pow2_sweep, reps, Table};
 
 fn sort_time(algo: &'static str, p: usize, n_per: u64) -> (Time, f64) {
     let n = n_per * p as u64;
@@ -80,7 +80,7 @@ fn largep_sort_time(algo: &'static str, fanout: usize, p: usize, n_per: u64) -> 
     let imb = std::sync::Mutex::new(1.0f64);
     let t = {
         let imb = &imb;
-        measure(p, SimConfig::cooperative(), 1, move |env, rep| {
+        measure_async(p, SimConfig::cooperative(), 1, move |env, rep| async move {
             let w = &env.world;
             let layout = Layout::new(n, p as u64);
             let data = workloads::generate(
@@ -89,17 +89,18 @@ fn largep_sort_time(algo: &'static str, fanout: usize, p: usize, n_per: u64) -> 
                 rep as u64 * 13 + 1,
                 workloads::Dist::Skewed,
             );
-            w.barrier().unwrap();
+            w.barrier_async().await.unwrap();
             let t0 = env.now();
             let out = match algo {
                 "jquick" => {
-                    jquick_sort(&RbcBackend, w, data, n, &JQuickConfig::default())
+                    jquick_sort_async(&RbcBackend, w, data, n, &JQuickConfig::default())
+                        .await
                         .unwrap()
                         .0
                 }
                 _ => {
                     let world = RbcComm::create(w);
-                    multilevel::multilevel_sample_sort(
+                    multilevel::multilevel_sample_sort_async(
                         &world,
                         data,
                         &multilevel::MultiLevelCfg {
@@ -107,12 +108,13 @@ fn largep_sort_time(algo: &'static str, fanout: usize, p: usize, n_per: u64) -> 
                             ..Default::default()
                         },
                     )
+                    .await
                     .unwrap()
                     .0
                 }
             };
             let dt = env.now() - t0;
-            let f = imbalance_factor(w, out.len()).unwrap();
+            let f = imbalance_factor_async(w, out.len()).await.unwrap();
             if w.rank() == 0 {
                 let mut g = imb.lock().unwrap();
                 *g = g.max(f);

@@ -23,6 +23,9 @@
 //! collective's communication structure changed, which no timing table
 //! would catch as crisply.
 
+use std::future::Future;
+use std::pin::Pin;
+
 use mpisim::{OpClass, SimConfig, Universe};
 
 use crate::{pow2_sweep, write_bench_json, Table};
@@ -37,7 +40,7 @@ fn ceil_log2(p: u64) -> u64 {
 struct CollOp {
     name: &'static str,
     class: OpClass,
-    body: fn(&mpisim::ProcEnv),
+    body: fn(mpisim::ProcEnv) -> Pin<Box<dyn Future<Output = ()> + Send>>,
     /// Exact total messages the collective moves at `p` ranks.
     expected_total: fn(u64) -> u64,
     /// Upper bound on messages sent by any single rank at `p` ranks.
@@ -50,8 +53,10 @@ fn ops() -> Vec<CollOp> {
             name: "bcast",
             class: OpClass::Bcast,
             body: |env| {
-                let mut x = vec![env.rank() as u64];
-                env.world.bcast(&mut x, 0).unwrap();
+                Box::pin(async move {
+                    let mut x = vec![env.rank() as u64];
+                    env.world.bcast_async(&mut x, 0).await.unwrap();
+                })
             },
             expected_total: |p| p - 1,
             max_rank_bound: ceil_log2,
@@ -60,7 +65,12 @@ fn ops() -> Vec<CollOp> {
             name: "reduce",
             class: OpClass::Reduce,
             body: |env| {
-                env.world.reduce(&[1u64], 0, |a, b| a + b).unwrap();
+                Box::pin(async move {
+                    env.world
+                        .reduce_async(&[1u64], 0, |a, b| a + b)
+                        .await
+                        .unwrap();
+                })
             },
             expected_total: |p| p - 1,
             // Every non-root sends exactly one partial to its parent.
@@ -70,7 +80,9 @@ fn ops() -> Vec<CollOp> {
             name: "scan",
             class: OpClass::Scan,
             body: |env| {
-                env.world.scan(&[1u64], |a, b| a + b).unwrap();
+                Box::pin(async move {
+                    env.world.scan_async(&[1u64], |a, b| a + b).await.unwrap();
+                })
             },
             expected_total: |p| {
                 let mut total = 0;
@@ -87,7 +99,12 @@ fn ops() -> Vec<CollOp> {
             name: "gatherv",
             class: OpClass::Gather,
             body: |env| {
-                env.world.gatherv(vec![env.rank() as u64], 0).unwrap();
+                Box::pin(async move {
+                    env.world
+                        .gatherv_async(vec![env.rank() as u64], 0)
+                        .await
+                        .unwrap();
+                })
             },
             // Two messages per tree edge: metadata then payload.
             expected_total: |p| 2 * (p - 1),
@@ -96,9 +113,7 @@ fn ops() -> Vec<CollOp> {
         CollOp {
             name: "barrier",
             class: OpClass::Barrier,
-            body: |env| {
-                env.world.barrier().unwrap();
-            },
+            body: |env| Box::pin(async move { env.world.barrier_async().await.unwrap() }),
             expected_total: |p| p * ceil_log2(p),
             max_rank_bound: ceil_log2,
         },
@@ -109,7 +124,7 @@ fn ops() -> Vec<CollOp> {
 /// `(total msgs, max msgs by any rank, total bytes)`.
 fn volumes(p: usize, op: &CollOp) -> (u64, u64, u64) {
     let body = op.body;
-    let res = Universe::run(p, SimConfig::cooperative(), move |env| body(&env));
+    let res = Universe::run_poll(p, SimConfig::cooperative(), body);
     let c = op.class as usize;
     (
         res.metrics.class_msgs[c],

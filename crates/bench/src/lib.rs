@@ -210,10 +210,10 @@ where
 }
 
 /// Maybe-async twin of [`measure`]: the per-rep operation is an `async fn`,
-/// so one kernel serves every backend — under the fiber or thread backend
-/// it completes inside `block_inline`, and under `Backend::Poll` it
-/// suspends at blocking calls and runs as a stackless poll-mode rank body,
-/// which is what lets sweeps continue past the fiber ceiling (p > 2^15).
+/// so one kernel serves both backends — under the thread backend it
+/// completes inside `block_inline`, and under `Backend::Poll` it suspends
+/// at blocking calls and runs as a stackless poll-mode rank body, which
+/// is what lets the large-p sweeps run at all (p up to 2^20).
 pub fn measure_async<F, Fut>(p: usize, cfg: SimConfig, reps: usize, op: F) -> Time
 where
     F: Fn(mpisim::ProcEnv, usize) -> Fut + Send + Sync,
@@ -316,12 +316,14 @@ mod tests {
 
     #[test]
     fn measure_async_matches_measure() {
-        let cfg = || SimConfig::cooperative().with_seed(9);
-        let sync = measure(4, cfg(), 2, |env, _| {
+        // The sync kernel on rank threads, the async one on the poll
+        // scheduler: a barrier's virtual time is schedule-independent.
+        let sync = measure(4, SimConfig::default().with_seed(9), 2, |env, _| {
             env.world.barrier().unwrap();
             env.now()
         });
-        let fut = measure_async(4, cfg(), 2, |env, _| async move {
+        let cfg = SimConfig::cooperative().with_seed(9);
+        let fut = measure_async(4, cfg, 2, |env, _| async move {
             env.world.barrier_async().await.unwrap();
             env.now()
         });

@@ -48,6 +48,15 @@ impl RbcComm {
         coll::gatherv(self, data, root, tags::GATHERV)
     }
 
+    /// Maybe-async twin of [`RbcComm::gatherv`] (same rounds and tags).
+    pub async fn gatherv_async<T: Datum>(
+        &self,
+        data: Vec<T>,
+        root: usize,
+    ) -> Result<Option<Vec<Vec<T>>>> {
+        coll::gatherv_async(self, data, root, tags::GATHERV).await
+    }
+
     /// `rbc::Barrier` — dissemination barrier.
     pub fn barrier(&self) -> Result<()> {
         coll::barrier(self, tags::BARRIER)

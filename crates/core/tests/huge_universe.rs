@@ -6,15 +6,16 @@
 //! its half/quarter of the world, then an allreduce round-trip inside the
 //! sub-communicator and a barrier over the world — exercising communicator
 //! creation, binomial-tree collectives, and the mailbox wake-up path at
-//! scale.
+//! scale. Rank bodies are async (`Universe::run_poll`); the RBC
+//! collectives run through their `mpisim::coll` cores with the RBC tags.
 
-use mpisim::{SimConfig, Transport, Universe};
+use mpisim::{coll, tags, SimConfig, Transport, Universe};
 use rbc::RbcComm;
 
 /// RBC split + allreduce round-trip at `p` ranks under the cooperative
 /// backend. Returns nothing; asserts correctness on every rank.
 fn split_allreduce_roundtrip(p: usize) {
-    let res = Universe::run(p, SimConfig::cooperative(), move |env| {
+    let res = Universe::run_poll(p, SimConfig::cooperative(), move |env| async move {
         let world = RbcComm::create(&env.world);
         let r = world.rank();
         // Split into two halves — local, no messages.
@@ -26,17 +27,22 @@ fn split_allreduce_roundtrip(p: usize) {
         };
         let sub = world.split(f, l).unwrap();
         // Allreduce inside my half: the sum of ones counts the half's size.
-        let ones = sub.allreduce(&[1u64], |a, b| a + b).unwrap()[0];
+        let ones = coll::allreduce_async(&sub, &[1u64], tags::ALLREDUCE, |a, b| a + b)
+            .await
+            .unwrap()[0];
         // Round-trip: reduce the half's rank sum to the half root, then
         // broadcast it back out.
-        let rank_sum = sub
-            .reduce(&[sub.rank() as u64], 0, |a, b| a + b)
-            .unwrap()
-            .map(|v| v[0]);
+        let rank_sum =
+            coll::reduce_async(&sub, &[sub.rank() as u64], 0, tags::REDUCE, |a, b| a + b)
+                .await
+                .unwrap()
+                .map(|v| v[0]);
         let mut echoed = vec![rank_sum.unwrap_or(0)];
-        sub.bcast(&mut echoed, 0).unwrap();
+        coll::bcast_async(&sub, &mut echoed, 0, tags::BCAST)
+            .await
+            .unwrap();
         // World-wide barrier over the RBC world communicator.
-        world.barrier().unwrap();
+        world.barrier_async().await.unwrap();
         (ones, echoed[0])
     });
     let half = p / 2;
@@ -60,8 +66,8 @@ fn huge_universe_4096() {
     split_allreduce_roundtrip(4096);
 }
 
-/// The paper's full 2^15 scale: ~3 s release / ~7 s debug on one core —
-/// 32,768 cooperative fibers, zero per-rank OS threads.
+/// The paper's full 2^15 scale: 32,768 poll-mode rank bodies, zero
+/// per-rank OS threads.
 #[test]
 fn huge_universe_32768() {
     split_allreduce_roundtrip(32768);
@@ -72,7 +78,7 @@ fn huge_universe_32768() {
 #[test]
 fn huge_universe_recursive_split_4096() {
     let p = 4096usize;
-    let res = Universe::run(p, SimConfig::cooperative(), move |env| {
+    let res = Universe::run_poll(p, SimConfig::cooperative(), move |env| async move {
         let world = RbcComm::create(&env.world);
         let mut c = world;
         let mut depth = 0u32;

@@ -135,7 +135,7 @@ where
 /// blocking agreement (the all-equal min/max all-reduce, native
 /// `create_group`, and the polling loops' yields) suspends instead of
 /// parking, so the whole sort can run as a `Backend::Poll` rank body at
-/// process counts beyond the fiber ceiling.
+/// process counts far past what one OS thread per rank can reach.
 pub async fn jquick_sort_async<T, B>(
     backend: &B,
     world: &Comm,

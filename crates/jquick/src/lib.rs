@@ -58,10 +58,10 @@ pub use driver::{jquick_sort, jquick_sort_async, JQuickConfig, SortStats};
 pub use exchange::AssignmentKind;
 pub use hypercube::hypercube_sort;
 pub use layout::{Layout, TaskRange};
-pub use multilevel::{multilevel_sample_sort, MultiLevelCfg};
+pub use multilevel::{multilevel_sample_sort, multilevel_sample_sort_async, MultiLevelCfg};
 pub use pivot::PivotCfg;
 pub use quickhull::{quickhull, Point};
-pub use samplesort::{sample_sort, SampleSortCfg};
+pub use samplesort::{sample_sort, sample_sort_async, SampleSortCfg};
 pub use verify::{
     fingerprint, imbalance_factor, imbalance_factor_async, verify_sorted, verify_sorted_async,
     VerifyReport,

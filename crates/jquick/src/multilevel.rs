@@ -15,7 +15,7 @@
 //! the group sizes are fixed fractions of p — the two §IV weaknesses
 //! JQuick was designed to fix.
 
-use mpisim::{coll, MpiError, Result, SortKey, Src, Transport};
+use mpisim::{coll, recv_async, MpiError, Result, SortKey, Src, Transport};
 use rbc::RbcComm;
 
 use crate::pivot::draw_samples;
@@ -57,6 +57,18 @@ pub struct MlStats {
 /// approximately) plus statistics.
 pub fn multilevel_sample_sort<T: SortKey + mpisim::Datum>(
     comm: &RbcComm,
+    data: Vec<T>,
+    cfg: &MultiLevelCfg,
+) -> Result<(Vec<T>, MlStats)> {
+    mpisim::block_inline(multilevel_sample_sort_async(comm, data, cfg))
+}
+
+/// Maybe-async core of [`multilevel_sample_sort`]: the identical
+/// recursion, but every gather, broadcast and routed receive suspends
+/// instead of blocking, so the sort can run as a `Backend::Poll` rank
+/// body.
+pub async fn multilevel_sample_sort_async<T: SortKey + mpisim::Datum>(
+    comm: &RbcComm,
     mut data: Vec<T>,
     cfg: &MultiLevelCfg,
 ) -> Result<(Vec<T>, MlStats)> {
@@ -77,7 +89,7 @@ pub fn multilevel_sample_sort<T: SortKey + mpisim::Datum>(
 
         // 1. Agree on k-1 splitters from a gathered sample.
         let samples = draw_samples(&data, cfg.oversample, comm.state());
-        let gathered = comm.gatherv(samples, 0)?;
+        let gathered = comm.gatherv_async(samples, 0).await?;
         let mut splitters: Vec<T> = match gathered {
             Some(per_rank) => {
                 let mut all: Vec<T> = per_rank.into_iter().flatten().collect();
@@ -91,7 +103,7 @@ pub fn multilevel_sample_sort<T: SortKey + mpisim::Datum>(
             }
             None => Vec::new(),
         };
-        coll::bcast(&comm, &mut splitters, 0, TAG_SPLITTERS)?;
+        coll::bcast_async(&comm, &mut splitters, 0, TAG_SPLITTERS).await?;
 
         // 2. Partition into k pieces and route piece i to group i.
         //    Groups are contiguous rank ranges of near-equal size.
@@ -130,7 +142,7 @@ pub fn multilevel_sample_sort<T: SortKey + mpisim::Datum>(
             }
         }
         for _ in 0..expected_senders {
-            let (v, _) = comm.recv::<T>(Src::Any, route_tag)?;
+            let (v, _) = recv_async::<T, _>(&comm, Src::Any, route_tag).await?;
             data.extend(v);
         }
 

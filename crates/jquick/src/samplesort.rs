@@ -34,6 +34,17 @@ pub fn sample_sort<T: SortKey + Datum>(
     data: Vec<T>,
     cfg: &SampleSortCfg,
 ) -> Result<Vec<T>> {
+    mpisim::block_inline(sample_sort_async(world, data, cfg))
+}
+
+/// Maybe-async core of [`sample_sort`]: the identical algorithm, but the
+/// splitter agreement and the all-to-all suspend instead of blocking, so
+/// the sort can run as a `Backend::Poll` rank body.
+pub async fn sample_sort_async<T: SortKey + Datum>(
+    world: &impl Transport,
+    data: Vec<T>,
+    cfg: &SampleSortCfg,
+) -> Result<Vec<T>> {
     let p = world.size();
     if p == 1 {
         let mut data = data;
@@ -44,7 +55,8 @@ pub fn sample_sort<T: SortKey + Datum>(
     // 1. Sample and select p-1 splitters on rank 0, broadcast — the
     //    splitter machinery shared with mpisim's distributed comm_split.
     let samples = draw_samples(&data, cfg.oversample, world.state());
-    let splitters = mpisim::distsort::select_splitters(world, samples, p, TAG_SAMPLES)?;
+    let splitters =
+        mpisim::distsort::select_splitters_async(world, samples, p, TAG_SAMPLES).await?;
 
     // 2. Partition into p buckets by binary search on the splitters.
     let mut buckets: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
@@ -57,7 +69,7 @@ pub fn sample_sort<T: SortKey + Datum>(
 
     // 3. One all-to-all exchange ("moves the data only once"), then local
     //    sort of the received pieces.
-    let received = coll::alltoallv(world, buckets, TAG_A2A)?;
+    let received = coll::alltoallv_async(world, buckets, TAG_A2A).await?;
     let mut out: Vec<T> = received.into_iter().flatten().collect();
     let m = out.len();
     if m > 1 {

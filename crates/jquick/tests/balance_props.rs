@@ -7,13 +7,12 @@
 //! deterministic `Sampler`), drawn over `Dist::ALL` × p ∈ [2, 64] ×
 //! n/p ∈ [1, 64] × seed. JQuick runs as a `Backend::Poll` rank body. As a
 //! contrast that proves the balance assertion can fail, single-level
-//! sample sort sorts the same inputs on the cooperative backend, and at
-//! least one generated case must leave it imbalanced.
+//! sample sort sorts the same inputs on the same backend, and at least
+//! one generated case must leave it imbalanced.
 
 use jquick::{
-    fingerprint, imbalance_factor, imbalance_factor_async, jquick_sort_async, sample_sort,
-    verify_sorted, verify_sorted_async, workloads, Dist, JQuickConfig, Layout, RbcBackend,
-    SampleSortCfg,
+    fingerprint, imbalance_factor_async, jquick_sort_async, sample_sort_async, verify_sorted_async,
+    workloads, Dist, JQuickConfig, Layout, RbcBackend, SampleSortCfg,
 };
 use mpisim::{SimConfig, Transport, Universe};
 use proptest::prelude::*;
@@ -42,19 +41,23 @@ fn jquick_case(p: usize, n: u64, dist: Dist, seed: u64) -> Vec<(f64, bool)> {
     res.per_rank
 }
 
-/// Sample sort on the same input under the cooperative backend: rank 0's
+/// Sample sort on the same input under the poll backend: rank 0's
 /// imbalance factor, after checking the output is a sorted permutation.
 fn samplesort_imbalance(p: usize, n: u64, dist: Dist, seed: u64) -> f64 {
-    let cfg = SimConfig::cooperative().with_seed(seed);
-    let res = Universe::run(p, cfg, move |env| {
+    let cfg = SimConfig::cooperative()
+        .with_backend(mpisim::Backend::Poll)
+        .with_seed(seed);
+    let res = Universe::run_poll(p, cfg, move |env| async move {
         let w = &env.world;
         let layout = Layout::new(n, p as u64);
         let data = workloads::generate(&layout, w.rank() as u64, seed, dist);
         let fp = fingerprint(&data);
-        let out = sample_sort(w, data, &SampleSortCfg::default()).unwrap();
-        let report = verify_sorted(w, &out, fp, out.len()).unwrap();
+        let out = sample_sort_async(w, data, &SampleSortCfg::default())
+            .await
+            .unwrap();
+        let report = verify_sorted_async(w, &out, fp, out.len()).await.unwrap();
         assert!(report.all_ok(), "sample sort must still sort: {report:?}");
-        imbalance_factor(w, out.len()).unwrap()
+        imbalance_factor_async(w, out.len()).await.unwrap()
     });
     res.per_rank[0]
 }

@@ -2,9 +2,11 @@
 //! large-p regime the thread backend cannot reach. This is the acceptance
 //! scenario of the scheduler subsystem: RBC split + barrier + a small
 //! JQuick sort at thousands of simulated ranks with zero per-rank OS
-//! threads.
+//! threads. Rank bodies are async (`Universe::run_poll`).
 
-use jquick::{fingerprint, jquick_sort, verify_sorted, JQuickConfig, Layout, RbcBackend};
+use jquick::{
+    fingerprint, jquick_sort_async, verify_sorted_async, JQuickConfig, Layout, RbcBackend,
+};
 use mpisim::{coll, SimConfig, Transport, Universe};
 
 /// Deterministic per-rank input: values scattered so that the global sort
@@ -16,20 +18,30 @@ fn gen_input(layout: &Layout, rank: u64, p: u64) -> Vec<u64> {
         .collect()
 }
 
+/// One rank of a barrier + JQuick sort of `n` elements over `p` ranks,
+/// with distributed verification; returns the rank's output length.
+async fn barrier_sort_verify(env: mpisim::ProcEnv, p: usize, n: u64) -> u64 {
+    let w = &env.world;
+    coll::barrier_async(w, 3).await.unwrap();
+    let layout = Layout::new(n, p as u64);
+    let data = gen_input(&layout, w.rank() as u64, p as u64);
+    let fp = fingerprint(&data);
+    let (out, _stats) = jquick_sort_async(&RbcBackend, w, data, n, &JQuickConfig::default())
+        .await
+        .unwrap();
+    let rep = verify_sorted_async(w, &out, fp, layout.cap(w.rank() as u64) as usize)
+        .await
+        .unwrap();
+    assert!(rep.all_ok(), "rank {}: {rep:?}", w.rank());
+    out.len() as u64
+}
+
 /// Barrier + small JQuick sort at `p` ranks, `n_per` elements per rank,
 /// under the cooperative backend, with distributed verification.
 fn coop_jquick(p: usize, n_per: u64) {
     let n = n_per * p as u64;
-    let res = Universe::run(p, SimConfig::cooperative(), move |env| {
-        let w = &env.world;
-        coll::barrier(w, 3).unwrap();
-        let layout = Layout::new(n, p as u64);
-        let data = gen_input(&layout, w.rank() as u64, p as u64);
-        let fp = fingerprint(&data);
-        let (out, _stats) = jquick_sort(&RbcBackend, w, data, n, &JQuickConfig::default()).unwrap();
-        let rep = verify_sorted(w, &out, fp, layout.cap(w.rank() as u64) as usize).unwrap();
-        assert!(rep.all_ok(), "rank {}: {rep:?}", w.rank());
-        out.len() as u64
+    let res = Universe::run_poll(p, SimConfig::cooperative(), move |env| {
+        barrier_sort_verify(env, p, n)
     });
     let total: u64 = res.per_rank.iter().sum();
     assert_eq!(total, n, "output is a permutation of the input size");
@@ -41,11 +53,12 @@ fn coop_jquick_small_matches_thread_backend() {
     let p = 12;
     let n = 12 * 40u64;
     let run = |cfg: SimConfig| {
-        Universe::run(p, cfg, move |env| {
+        Universe::run_poll(p, cfg, move |env| async move {
             let w = &env.world;
             let layout = Layout::new(n, p as u64);
             let data = gen_input(&layout, w.rank() as u64, p as u64);
-            jquick_sort(&RbcBackend, w, data, n, &JQuickConfig::default())
+            jquick_sort_async(&RbcBackend, w, data, n, &JQuickConfig::default())
+                .await
                 .unwrap()
                 .0
         })
@@ -70,11 +83,12 @@ fn coop_jquick_identical_across_worker_counts() {
     let host = std::thread::available_parallelism().map_or(4, |c| c.get());
     let run = |workers: usize| {
         let cfg = SimConfig::cooperative().with_workers(workers);
-        let res = Universe::run(p, cfg, move |env| {
+        let res = Universe::run_poll(p, cfg, move |env| async move {
             let w = &env.world;
             let layout = Layout::new(n, p as u64);
             let data = gen_input(&layout, w.rank() as u64, p as u64);
-            jquick_sort(&RbcBackend, w, data, n, &JQuickConfig::default())
+            jquick_sort_async(&RbcBackend, w, data, n, &JQuickConfig::default())
+                .await
                 .unwrap()
                 .0
         });
@@ -97,17 +111,7 @@ fn coop_jquick_at_host_parallelism() {
     assert_eq!(cfg.coop_workers, host);
     let p = 256;
     let n = 256 * 8u64;
-    let res = Universe::run(p, cfg, move |env| {
-        let w = &env.world;
-        coll::barrier(w, 3).unwrap();
-        let layout = Layout::new(n, p as u64);
-        let data = gen_input(&layout, w.rank() as u64, p as u64);
-        let fp = fingerprint(&data);
-        let (out, _stats) = jquick_sort(&RbcBackend, w, data, n, &JQuickConfig::default()).unwrap();
-        let rep = verify_sorted(w, &out, fp, layout.cap(w.rank() as u64) as usize).unwrap();
-        assert!(rep.all_ok(), "rank {}: {rep:?}", w.rank());
-        out.len() as u64
-    });
+    let res = Universe::run_poll(p, cfg, move |env| barrier_sort_verify(env, p, n));
     assert_eq!(res.per_rank.iter().sum::<u64>(), n);
 }
 

@@ -10,9 +10,20 @@
 //! experiment vacuous — `MPISIM_COOP_COMMIT=seral` running the sharded
 //! path would "confirm" the serial oracle against itself, and
 //! `MPISIM_TRACE=yes` silently tracing nothing would byte-diff two empty
-//! traces. The only deliberately lenient knobs are `MPISIM_COOP_WORKERS`
-//! (a machine-shape hint, not an experiment axis) and `MPISIM_TRACE_OUT`
-//! (a path, any string is plausible).
+//! traces. Four knobs are deliberately lenient, each because no value of
+//! it can change a run's output:
+//!
+//! * `MPISIM_COOP_WORKERS` — a machine-shape hint, not an experiment
+//!   axis: the epoch discipline makes every worker count produce
+//!   bit-identical output (DESIGN.md §5);
+//! * `MPISIM_FLEET_INFLIGHT` — a fleet's admission window: it bounds
+//!   peak memory, and a universe's output does not depend on what else
+//!   the fleet runs beside it (DESIGN.md §11);
+//! * `MPISIM_COOP_COMMIT_SHARDS` — the sharded commit's claim-unit cap:
+//!   per-mailbox push order and the wake merge do not depend on where
+//!   the commit run is cut (DESIGN.md §7), so garbage means "auto";
+//! * `MPISIM_TRACE_OUT` — a path (any string is plausible): it chooses
+//!   where the trace is written, not what is simulated or recorded.
 
 use crate::faults::SlowdownSpec;
 use crate::model::{CommitAlgo, SortAlgo};
@@ -53,21 +64,18 @@ pub fn fleet_inflight_from(var: Option<&str>) -> usize {
 }
 
 /// Parse `MPISIM_BACKEND` into a [`Backend`](crate::Backend) for
-/// [`crate::SimConfig::cooperative`]. Unset, blank, `fiber`, `coop`, or
-/// `cooperative` selects the stackful fiber backend; `poll` selects the
-/// stackless poll backend; `threads` selects one OS thread per rank;
-/// anything else panics (a typo silently running fibers would make a
-/// fiber-vs-poll determinism sweep compare fibers against themselves).
+/// [`crate::SimConfig::cooperative`]. Unset, blank, or `poll` selects the
+/// cooperative poll scheduler; `threads` selects one OS thread per rank;
+/// anything else panics — including the retired `fiber` / `coop` /
+/// `cooperative` spellings, so a stale script fails loudly instead of
+/// silently running something else.
 pub fn backend_from(var: Option<&str>) -> crate::Backend {
     match var.map(|v| v.trim().to_ascii_lowercase()).as_deref() {
-        None | Some("") | Some("fiber") | Some("coop") | Some("cooperative") => {
-            crate::Backend::Cooperative
-        }
-        Some("poll") => crate::Backend::Poll,
+        None | Some("") | Some("poll") => crate::Backend::Poll,
         Some("threads") => crate::Backend::Threads,
         Some(other) => panic!(
             "MPISIM_BACKEND={other:?} is not a simulator backend \
-             (expected \"fiber\", \"poll\", or \"threads\")"
+             (expected \"poll\" or \"threads\")"
         ),
     }
 }
@@ -278,14 +286,29 @@ mod tests {
     #[test]
     fn backend_knob_parses_strictly() {
         use crate::Backend;
-        assert_eq!(backend_from(None), Backend::Cooperative);
-        assert_eq!(backend_from(Some("")), Backend::Cooperative);
-        assert_eq!(backend_from(Some("fiber")), Backend::Cooperative);
-        assert_eq!(backend_from(Some(" Coop ")), Backend::Cooperative);
-        assert_eq!(backend_from(Some("cooperative")), Backend::Cooperative);
+        assert_eq!(backend_from(None), Backend::Poll);
+        assert_eq!(backend_from(Some("")), Backend::Poll);
+        assert_eq!(backend_from(Some("  ")), Backend::Poll);
         assert_eq!(backend_from(Some("poll")), Backend::Poll);
         assert_eq!(backend_from(Some(" POLL ")), Backend::Poll);
         assert_eq!(backend_from(Some("threads")), Backend::Threads);
+    }
+
+    #[test]
+    fn backend_knob_rejects_the_retired_fiber_spellings() {
+        // A stale `MPISIM_BACKEND=fiber` must fail loudly and point at
+        // the two backends that exist, not silently run one of them.
+        for stale in ["fiber", "coop", "cooperative", " Coop "] {
+            let err = std::panic::catch_unwind(|| backend_from(Some(stale)))
+                .expect_err("retired backend spelling must panic");
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(
+                msg.contains("MPISIM_BACKEND")
+                    && msg.contains("\"poll\"")
+                    && msg.contains("\"threads\""),
+                "{stale:?}: panic must name the knob and both backends: {msg}"
+            );
+        }
     }
 
     #[test]

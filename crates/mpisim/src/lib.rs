@@ -7,9 +7,9 @@
 //! * a simulated-rank runtime ([`Universe`]) with MPI matching semantics —
 //!   `(context, source, tag)` matching, `ANY_SOURCE` wildcards,
 //!   non-overtaking per sender and context — under two backends: one OS
-//!   thread per rank, or the cooperative fiber scheduler ([`sched`]) that
-//!   multiplexes up to 2^15 ranks over a small worker pool with
-//!   seed-deterministic message-delivery order;
+//!   thread per rank, or the cooperative epoch scheduler ([`sched`]) that
+//!   multiplexes up to 2^20 stackless (async) rank bodies over a small
+//!   worker pool with seed-deterministic message-delivery order;
 //! * native communicators ([`Comm`]) whose construction runs the *real*
 //!   algorithms (all-gather for `MPI_Comm_split`, context-ID-mask
 //!   all-reduce for `MPI_Comm_create_group`) so that their costs emerge
@@ -65,7 +65,6 @@ pub use msg::{ContextId, MsgInfo, Tag};
 pub use nbcoll::{Progress, Request};
 pub use obs::{MetricsSnapshot, OpClass, SchedProfile, Trace, TraceEvent, WorkerProfile};
 pub use proc::WaitReason;
-#[cfg(all(unix, any(target_arch = "x86_64", target_arch = "aarch64")))]
 pub use sched::fleet::{Fleet, FleetHandle};
 pub use sched::poll::{block_inline, yield_now_async, RankBody, Step};
 pub use sched::yield_now;

@@ -85,8 +85,8 @@ impl Request {
 
     /// [`Request::wait`] as a maybe-async core: an unproductive poll
     /// suspends through [`ProcState::yield_or_park_async`] — it parks
-    /// until the next arrival under `Backend::Poll` and the fiber backend
-    /// instead of re-polling every epoch.
+    /// until the next arrival under `Backend::Poll` instead of re-polling
+    /// every epoch.
     pub async fn wait_async(&mut self) -> Result<()> {
         wait_on_async(&mut *self.0).await
     }
@@ -520,9 +520,20 @@ where
     /// Block until complete and return the result.
     pub fn wait_result(mut self) -> Result<Vec<T>> {
         wait_on(&mut self)?;
+        self.into_result()
+    }
+
+    /// [`Iallreduce::wait_result`] as a maybe-async core (see
+    /// [`Request::wait_async`]).
+    pub async fn wait_result_async(mut self) -> Result<Vec<T>> {
+        wait_on_async(&mut self).await?;
+        self.into_result()
+    }
+
+    fn into_result(self) -> Result<Vec<T>> {
         match self.phase {
             IallreducePhase::Done(v) => Ok(v),
-            _ => unreachable!("wait_on returned complete"),
+            _ => unreachable!("wait returned complete"),
         }
     }
 }

@@ -18,7 +18,7 @@
 //!   clock, an RNG, or a counter the model reads: observer effect = 0.
 //! * **Model metrics** ([`MetricsSnapshot`], always on): message/byte
 //!   totals, per-[`OpClass`] volumes, mailbox scan work, epochs, wake-ups,
-//!   context switches. All are pure functions of the program, so CI gates
+//!   rank resumptions. All are pure functions of the program, so CI gates
 //!   them at **exact equality** — a changed message count is a model
 //!   change, not noise.
 //! * **Scheduler profile** ([`SchedProfile`], opt-in via
@@ -168,8 +168,8 @@ pub struct TraceRecord {
 }
 
 /// Per-rank trace buffer, cache-line aligned like the router's traffic
-/// cells. Only the owning rank's fiber/thread ever appends, so the mutex
-/// is uncontended; it exists because fibers migrate across workers.
+/// cells. Only the owning rank's task/thread ever appends, so the mutex
+/// is uncontended; it exists because tasks migrate across workers.
 #[repr(align(64))]
 #[derive(Default)]
 pub(crate) struct TraceCell(Mutex<Vec<(Time, TraceEvent)>>);
@@ -369,9 +369,9 @@ fn json_str(s: &str) -> String {
 // ---------------------------------------------------------------------------
 
 /// RAII guard opened by [`span`]: restores the previous operation class on
-/// drop and closes the trace span. Lives on the rank's own (fiber) stack —
-/// **not** a thread-local, because fibers yield mid-collective and resume
-/// on a different worker thread.
+/// drop and closes the trace span. Lives in the rank's own stack frame or
+/// future state — **not** a thread-local, because poll bodies suspend
+/// mid-collective and resume on a different worker thread.
 pub struct SpanGuard<'a> {
     state: &'a ProcState,
     prev: u8,
@@ -476,7 +476,10 @@ pub struct MetricsSnapshot {
     pub epochs: u64,
     /// Tasks woken across all epoch commits (0 on the thread backend).
     pub wakeups: u64,
-    /// Fiber context switches (0 on the thread backend).
+    /// Rank resumptions: scheduler task steps, each one poll of a rank
+    /// body (0 on the thread backend). Reported by the host-cost
+    /// benchmark as `sched.resumptions`; the field keeps its historical
+    /// name.
     pub switches: u64,
 }
 
@@ -514,7 +517,7 @@ impl MetricsSnapshot {
 /// One worker's wall-clock phase breakdown.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WorkerProfile {
-    /// Nanoseconds spent resuming task fibers.
+    /// Nanoseconds spent stepping rank bodies.
     pub run_ns: u64,
     /// Nanoseconds spent pushing commit shards / finishing rounds.
     pub commit_ns: u64,

@@ -311,8 +311,8 @@ pub struct ProcState {
     send_seq: AtomicU64,
     /// The [`OpClass`] currently attributed to this rank's sends, managed
     /// by the RAII guards in [`crate::obs`]. Lives here — not in a
-    /// thread-local — because fibers yield mid-collective and resume on a
-    /// different worker thread.
+    /// thread-local — because poll bodies suspend mid-collective and resume
+    /// on a different worker thread.
     op_class: AtomicU8,
     /// Claims and sends this rank has made (see [`ProcState::progress`]).
     progress: AtomicU64,
@@ -461,7 +461,7 @@ impl ProcState {
     /// claimed and sent nothing (`progress()` still equals `since`, read
     /// before the pass), park until the next message is committed into
     /// this rank's mailbox, so a waiting rank costs no scheduler
-    /// resumptions under `Backend::Poll` and the fiber backend. A pass
+    /// resumptions under `Backend::Poll`. A pass
     /// that did make progress yields for one epoch instead: what it
     /// claimed or sent may let the next pass go further. On the thread
     /// backend both arms yield the OS thread.
@@ -598,7 +598,7 @@ impl ProcState {
         }
     }
 
-    /// Hand a finished message to the fabric. On a scheduler fiber the
+    /// Hand a finished message to the fabric. In a scheduler task the
     /// message is staged with the current task and committed — in global
     /// virtual-time order — at the next epoch boundary, which is what makes
     /// multi-worker cooperative runs deterministic; on a plain thread it is
@@ -668,9 +668,9 @@ impl ProcState {
     }
 
     /// Blocking receive matching `pat`; applies the virtual-time rule
-    /// `clock = max(clock, arrival) + recv_overhead`. On a scheduler fiber
-    /// the wait yields to the cooperative scheduler; on a rank thread it
-    /// parks on the mailbox condvar.
+    /// `clock = max(clock, arrival) + recv_overhead`. The rank thread
+    /// parks on the mailbox condvar (thread backend only: a poll-mode
+    /// body must use [`ProcState::recv_match_async`]).
     pub fn recv_match(&self, pat: &MatchPattern) -> Result<Message> {
         if self.crashed() {
             return Err(self.crashed_err("recv", pat));
@@ -680,21 +680,17 @@ impl ProcState {
             "synchronous recv inside a poll-mode rank body: under Backend::Poll \
              use recv_match_async (the *_async API) so the body can suspend"
         );
-        let mb = &self.router.mailboxes[self.global_rank];
-        let m = if crate::sched::on_fiber() {
-            crate::sched::claim_coop(mb, pat, self.global_rank, self.now())
-        } else {
-            mb.claim_blocking(pat, self.router.recv_timeout, self.global_rank, self.now())
-        }
-        .map_err(|e| self.enrich_timeout(e, Some(pat)))?;
+        let m = self.router.mailboxes[self.global_rank]
+            .claim_blocking(pat, self.router.recv_timeout, self.global_rank, self.now())
+            .map_err(|e| self.enrich_timeout(e, Some(pat)))?;
         Ok(self.account_delivery(m))
     }
 
     /// [`ProcState::recv_match`] for maybe-async workloads: on a poll-mode
-    /// body the wait suspends the future (same announce/subscribe protocol
-    /// as the fiber park); on the other backends this resolves in a single
-    /// poll via the synchronous path. Clock and trace accounting are
-    /// identical on all three.
+    /// body the wait suspends the future (the scheduler's
+    /// announce/subscribe protocol); on the thread backend this resolves
+    /// in a single poll via the synchronous path. Clock and trace
+    /// accounting are identical on both.
     pub async fn recv_match_async(&self, pat: &MatchPattern) -> Result<Message> {
         if !crate::sched::on_poll_body() {
             return self.recv_match(pat);
@@ -750,13 +746,9 @@ impl ProcState {
             "synchronous probe inside a poll-mode rank body: under Backend::Poll \
              use probe_match_async (the *_async API) so the body can suspend"
         );
-        let mb = &self.router.mailboxes[self.global_rank];
-        if crate::sched::on_fiber() {
-            crate::sched::probe_coop(mb, pat, self.global_rank, self.now())
-        } else {
-            mb.probe_blocking(pat, self.router.recv_timeout, self.global_rank, self.now())
-        }
-        .map_err(|e| self.enrich_timeout(e, Some(pat)))
+        self.router.mailboxes[self.global_rank]
+            .probe_blocking(pat, self.router.recv_timeout, self.global_rank, self.now())
+            .map_err(|e| self.enrich_timeout(e, Some(pat)))
     }
 
     /// [`ProcState::probe_match`] for maybe-async workloads; see

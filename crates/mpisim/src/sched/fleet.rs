@@ -1,6 +1,6 @@
 //! Fleet mode: many seeded universes multiplexed over **one** worker pool.
 //!
-//! A solo [`Universe::run`](crate::Universe::run) owns its worker threads
+//! A solo [`Universe::run_poll`](crate::Universe::run_poll) owns its worker threads
 //! for the duration of one simulation. That is the right shape for a
 //! single large experiment, but the throughput regime — thousands of
 //! small seeded universes per second, the batch-dispatch shape of a
@@ -47,8 +47,8 @@
 //! let handles: Vec<_> = (0..8)
 //!     .map(|seed| {
 //!         let cfg = SimConfig::cooperative().with_seed(seed);
-//!         fleet.submit(8, cfg, |env| {
-//!             env.world.allreduce(&[1u64], |a, b| a + b).unwrap()[0]
+//!         fleet.submit(8, cfg, |env| async move {
+//!             env.world.allreduce_async(&[1u64], |a, b| a + b).await.unwrap()[0]
 //!         })
 //!     })
 //!     .collect();
@@ -64,13 +64,14 @@
 
 use std::any::Any;
 use std::collections::VecDeque;
+use std::future::Future;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 
-use super::imp::{Drain, FleetSignal, SchedPools, Scheduler};
-use super::record_panic;
+use super::poll::FutureBody;
+use super::{Drain, FleetSignal, SchedPools, Scheduler};
 use crate::comm::Comm;
 use crate::faults::FaultState;
 use crate::proc::{ProcState, Router};
@@ -97,7 +98,7 @@ pub struct FleetHandle<R> {
 impl<R> FleetHandle<R> {
     /// Block until the universe completes and return its result — the
     /// same [`SimResult`] (per-rank values, clocks, traffic, metrics,
-    /// trace) a solo [`Universe::run`](crate::Universe::run) of the same
+    /// trace) a solo [`Universe::run_poll`](crate::Universe::run_poll) of the same
     /// `(program, config)` produces, byte for byte. A rank panic in the
     /// universe resumes here, exactly like the solo path.
     pub fn join(self) -> SimResult<R> {
@@ -118,7 +119,7 @@ impl<R> FleetHandle<R> {
 }
 
 /// A deferred admission: builds the universe's runtime (router, states,
-/// scheduler, fibers) when an in-flight slot frees up.
+/// scheduler, rank bodies) when an in-flight slot frees up.
 type Admission = Box<dyn FnOnce(&FleetInner) -> ActiveUni + Send>;
 
 /// The one-shot result collector a reaping worker runs at completion.
@@ -172,7 +173,7 @@ pub struct Fleet {
 impl Fleet {
     /// Start a fleet of `workers` OS threads admitting at most `inflight`
     /// universes concurrently (both clamped to ≥ 1). The window bounds
-    /// peak memory (fiber slabs, mailboxes); neither knob can change any
+    /// peak memory (rank states, mailboxes); neither knob can change any
     /// universe's output.
     pub fn new(workers: usize, inflight: usize) -> Fleet {
         let workers = workers.max(1);
@@ -221,19 +222,21 @@ impl Fleet {
         self.inner.inflight
     }
 
-    /// Submit a universe: `p` ranks running `program` under `cfg` (the
-    /// cooperative scheduler always executes it; `cfg.backend` is
-    /// ignored). Admission happens immediately if an in-flight slot is
-    /// free, else when one frees up — submission order is preserved.
+    /// Submit a universe: `p` ranks running the async rank body
+    /// `program` under `cfg` (the cooperative scheduler always executes
+    /// it; `cfg.backend` is ignored). Admission happens immediately if an
+    /// in-flight slot is free, else when one frees up — submission order
+    /// is preserved.
     ///
     /// The universe's output is a pure function of `(program, config)`:
     /// identical whatever else the fleet is running, whatever the
     /// submission order, window, or worker count — byte for byte the
-    /// solo [`Universe::run`](crate::Universe::run) result.
-    pub fn submit<R, F>(&self, p: usize, cfg: SimConfig, program: F) -> FleetHandle<R>
+    /// solo [`Universe::run_poll`](crate::Universe::run_poll) result.
+    pub fn submit<R, F, Fut>(&self, p: usize, cfg: SimConfig, program: F) -> FleetHandle<R>
     where
         R: Send + 'static,
-        F: Fn(ProcEnv) -> R + Send + Sync + 'static,
+        F: Fn(ProcEnv) -> Fut + Send + Sync + 'static,
+        Fut: Future<Output = R> + Send + 'static,
     {
         assert!(p >= 1, "need at least one process");
         let slot = Arc::new(HandleSlot {
@@ -258,7 +261,8 @@ impl Fleet {
         };
         if direct {
             // Build the runtime on the submitting thread — the expensive
-            // part (stack slab mmap, fibers) stays off the worker pool.
+            // part (router, mailboxes, rank states) stays off the worker
+            // pool.
             let uni = Arc::new((adm.take().expect("admission present"))(&self.inner));
             self.inner.state.lock().active.push(uni);
         }
@@ -280,11 +284,11 @@ impl Drop for Fleet {
 }
 
 /// Build a universe's runtime — the exact mirror of the solo
-/// [`Universe::run`](crate::Universe::run) + `run_coop` construction:
+/// [`Universe::run_poll`](crate::Universe::run_poll) construction:
 /// same router, same per-rank states, same seeded epoch-1 order, same
 /// result assembly — so fleet and solo runs of one `(program, config)`
 /// cannot diverge by construction.
-fn admit<R, F>(
+fn admit<R, F, Fut>(
     inner: &FleetInner,
     p: usize,
     cfg: SimConfig,
@@ -293,7 +297,8 @@ fn admit<R, F>(
 ) -> ActiveUni
 where
     R: Send + 'static,
-    F: Fn(ProcEnv) -> R + Send + Sync + 'static,
+    F: Fn(ProcEnv) -> Fut + Send + Sync + 'static,
+    Fut: Future<Output = R> + Send + 'static,
 {
     let mut router = Router::new(
         p,
@@ -312,7 +317,6 @@ where
     let results: Arc<Mutex<Vec<Option<R>>>> = Arc::new(Mutex::new((0..p).map(|_| None).collect()));
     let sched = Scheduler::new(
         p,
-        cfg.coop_stack_size,
         Arc::clone(&router),
         cfg.commit_algo,
         cfg.sort_algo,
@@ -320,25 +324,20 @@ where
         cfg.sched_profile,
         Arc::clone(&inner.pools),
         Some(Arc::clone(&inner.signal)),
-        false,
     );
     let store = sched.panic_store();
     for (rank, state) in states.iter().enumerate() {
         let state = Arc::clone(state);
-        let store = Arc::clone(&store);
         let program = Arc::clone(&program);
         let results = Arc::clone(&results);
-        let body = move || {
-            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                program(ProcEnv {
-                    world: Comm::world(state),
-                })
-            }));
-            match out {
-                Ok(v) => results.lock()[rank] = Some(v),
-                Err(e) => record_panic(&store, rank, e),
-            }
+        let fut = async move {
+            let out = program(ProcEnv {
+                world: Comm::world(state),
+            })
+            .await;
+            results.lock()[rank] = Some(out);
         };
+        let body = FutureBody::new(Box::pin(fut), rank, Arc::clone(&store));
         // Safety: unlike the solo path, the body owns (`Arc`s) everything
         // it captures, so it genuinely is `'static` — no lifetime erasure
         // involved.

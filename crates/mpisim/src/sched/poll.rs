@@ -1,26 +1,22 @@
-//! Poll-mode rank bodies: a rank as a pollable state machine instead of a
-//! stackful fiber.
+//! Poll-mode rank bodies: every scheduler task is a pollable state
+//! machine, not a thread and not a stack.
 //!
-//! The fiber backend tops out where stack slabs and VMA budgets do
-//! (~2^15 ranks). This module adds a third execution mode,
-//! [`crate::Backend::Poll`], in which a rank's state is **a few hundred
-//! bytes of `Future` state machine** rather than a 128 KiB stack: the
-//! compiler's async transform stores exactly the live locals of the
-//! current await point, so a 2^20-rank universe fits where 2^20 fiber
-//! stacks cannot.
+//! A rank's state is **a few hundred bytes of `Future` state machine**:
+//! the compiler's async transform stores exactly the live locals of the
+//! current await point, so a 2^20-rank universe fits in memory where
+//! 2^20 thread or coroutine stacks would not.
 //!
 //! # The `RankBody` protocol
 //!
-//! A poll-mode rank implements [`RankBody`] — `handle_incoming` /
+//! A rank implements [`RankBody`] — `handle_incoming` /
 //! `wants_to_proceed` / `proceed`, after the round-based
 //! `StateMachineWrapper` shape (see DESIGN.md §12). The scheduler drives
-//! bodies through the *same* generation-tagged [`Work`](super) rounds as
-//! fiber tasks: a claimed poll step runs `proceed()` exactly where a
-//! fiber task would `resume()`, stages sends into the same per-task
-//! buffers, and parks through the same
+//! bodies through its generation-tagged [`Work`](super) rounds: a claimed
+//! task step runs `proceed()`, the body stages its sends into its
+//! per-task buffer, and it parks through the
 //! `ST_BLOCKING` → subscribe → `ST_BLOCKED` handshake — so the epoch
 //! commit discipline (§5/§7/§10) and with it bit-for-bit determinism
-//! carry over unchanged.
+//! hold for every worker count.
 //!
 //! # Maybe-async workloads
 //!
@@ -28,40 +24,33 @@
 //! collective, the round-structured workloads are written **once** as
 //! `async fn`s whose blocking primitives dispatch on the execution mode:
 //!
-//! * off poll mode (thread or fiber backend) every await bottoms out in a
-//!   primitive that resolves synchronously — a fiber parks *inside* the
-//!   poll — so [`block_inline`] completes the whole future in a single
-//!   poll and the sync wrappers behave exactly as before;
-//! * on poll mode the primitives return `Pending` after announcing
-//!   `ST_BLOCKING` and subscribing a waker — the same protocol as
-//!   `claim_coop` — and the scheduler re-polls the body when the epoch
-//!   commit wakes it.
-//!
-//! One implementation therefore serves all three backends, which is what
-//! makes poll output byte-identical to fiber output *by construction*:
-//! identical operation sequences, staged-send order, sequence numbers,
-//! clock advances, and RNG draws.
+//! * on the thread backend every await bottoms out in a primitive that
+//!   blocks the rank's OS thread and resolves synchronously, so
+//!   [`block_inline`] completes the whole future in a single poll and the
+//!   sync wrappers (`Comm::bcast`, `jquick_sort`, …) behave exactly as
+//!   before;
+//! * inside a scheduler task the primitives return `Pending` after
+//!   announcing `ST_BLOCKING` and subscribing a waker, and the scheduler
+//!   re-polls the body when the epoch commit wakes it.
 
 use std::future::Future;
 use std::pin::Pin;
 use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 
-/// What a poll step did: the poll-mode mirror of a fiber's park intent.
+/// What a poll step did: the task intent the scheduler acts on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Step {
-    /// Made progress and wants another slice next epoch (fiber
-    /// `yield_now`).
+    /// Made progress and wants another slice next epoch.
     Yielded,
     /// Parked on a mailbox subscription; only a commit-time wake-up
-    /// reschedules it (fiber `park`).
+    /// reschedules it.
     Blocked,
     /// The body is done and will never be polled again.
     Finished,
 }
 
-/// A rank as a pollable round-based state machine (the poll-backend
-/// replacement for a fiber's stack). Driven by the scheduler through the
-/// same epoch rounds as fiber tasks: one claimed unit = one `proceed`.
+/// A rank as a pollable round-based state machine. Driven by the
+/// scheduler's epoch rounds: one claimed unit = one `proceed`.
 pub trait RankBody: Send {
     /// Committed deliveries for this rank arrived since the last step.
     /// The mailbox itself is the inbox, so stateful bodies can use this
@@ -99,9 +88,9 @@ fn noop_waker() -> Waker {
 
 /// Drive a maybe-async workload future to completion in one poll.
 ///
-/// Off poll mode every await in the workload tree resolves synchronously
-/// (the thread backend blocks, the fiber backend parks inside the poll),
-/// so the first poll returns `Ready` — this is how the synchronous public
+/// On the thread backend every await in the workload tree resolves
+/// synchronously (the rank's OS thread blocks inside the poll), so the
+/// first poll returns `Ready` — this is how the synchronous public
 /// wrappers (`Comm::bcast`, `jquick_sort`, …) execute the shared async
 /// cores with zero behaviour change.
 ///
@@ -124,12 +113,10 @@ pub fn block_inline<F: Future>(fut: F) -> F::Output {
     }
 }
 
-/// Cooperatively yield across all three backends: a poll body suspends
-/// for one epoch, a fiber switches out with a yield intent, a thread
-/// calls `std::thread::yield_now`. The maybe-async replacement for
-/// [`super::yield_now`] in poll loops.
+/// Cooperatively yield on either backend: a poll body suspends for one
+/// epoch, a thread calls `std::thread::yield_now`. The maybe-async
+/// replacement for [`super::yield_now`] in poll loops.
 pub async fn yield_now_async() {
-    #[cfg(all(unix, any(target_arch = "x86_64", target_arch = "aarch64")))]
     if super::on_poll_body() {
         imp::YieldFut { fired: false }.await;
         return;
@@ -140,78 +127,33 @@ pub async fn yield_now_async() {
 /// Park the calling rank until the next message is committed into its
 /// own mailbox `mb` — the "any arrival" wake-up of polling wait loops
 /// (DESIGN.md §12). A poll body suspends with a block intent and the
-/// mailbox's arrival slot armed; a fiber parks the same way; a thread,
-/// which has no scheduler to wake it, just yields. The deadlock
-/// detector poisons and wakes a parked rank like a blocked receiver;
-/// the park then returns and the caller's next poll observes the
-/// poison.
+/// mailbox's arrival slot armed; a thread, which has no scheduler to
+/// wake it, just yields. The deadlock detector poisons and wakes a
+/// parked rank like a blocked receiver; the park then returns and the
+/// caller's next poll observes the poison.
 ///
 /// Only sound after a poll pass that claimed and sent nothing: such a
 /// pass sees the same mailbox until the next deposit, so every
 /// resumption skipped while parked would have been a no-op.
 pub(crate) async fn park_until_arrival_async(mb: &crate::mailbox::Mailbox) {
-    #[cfg(all(unix, any(target_arch = "x86_64", target_arch = "aarch64")))]
-    {
-        if super::on_poll_body() {
-            imp::ArrivalFut { mb, parked: false }.await;
-            return;
-        }
-        if super::on_fiber() {
-            super::imp::park_arrival_coop(mb);
-            return;
-        }
+    if super::on_poll_body() {
+        imp::ArrivalFut { mb, parked: false }.await;
+        return;
     }
-    // Without scheduler support every rank is a thread: nothing parks.
-    #[cfg(not(all(unix, any(target_arch = "x86_64", target_arch = "aarch64"))))]
-    let _ = mb;
     super::yield_now();
 }
 
-#[cfg(all(unix, any(target_arch = "x86_64", target_arch = "aarch64")))]
 pub(crate) use imp::{claim_poll, probe_poll, FutureBody};
 
-// On targets without scheduler support `on_poll_body()` is constantly
-// false, so the async primitives' poll arms are unreachable — these stubs
-// only satisfy the compiler.
-#[cfg(not(all(unix, any(target_arch = "x86_64", target_arch = "aarch64"))))]
-mod fallback {
-    use crate::error::Result;
-    use crate::mailbox::Mailbox;
-    use crate::msg::{MatchPattern, Message, MsgInfo};
-    use crate::time::Time;
-
-    pub(crate) async fn claim_poll(
-        _mb: &Mailbox,
-        _pat: &MatchPattern,
-        _rank: usize,
-        _vnow: Time,
-    ) -> Result<Message> {
-        unreachable!("poll-mode bodies require scheduler support")
-    }
-
-    pub(crate) async fn probe_poll(
-        _mb: &Mailbox,
-        _pat: &MatchPattern,
-        _rank: usize,
-        _vnow: Time,
-    ) -> Result<MsgInfo> {
-        unreachable!("poll-mode bodies require scheduler support")
-    }
-}
-
-#[cfg(not(all(unix, any(target_arch = "x86_64", target_arch = "aarch64"))))]
-pub(crate) use fallback::{claim_poll, probe_poll};
-
-#[cfg(all(unix, any(target_arch = "x86_64", target_arch = "aarch64")))]
 mod imp {
     use super::*;
     use crate::error::Result;
     use crate::mailbox::{Mailbox, Subscribed, WaitToken};
     use crate::msg::{MatchPattern, Message, MsgInfo};
     use crate::proc::WaitReason;
-    use crate::sched::imp::{current_slot, deadlock_err, record_panic};
     use crate::sched::{
-        SchedShared, TaskSlot, INTENT_BLOCK, INTENT_YIELD, ST_BLOCKING, ST_RUNNING,
+        current_slot, deadlock_err, record_panic, SchedShared, TaskSlot, INTENT_BLOCK,
+        INTENT_YIELD, ST_BLOCKING, ST_RUNNING,
     };
     use crate::time::Time;
     use std::sync::atomic::Ordering;
@@ -264,11 +206,10 @@ mod imp {
         }
     }
 
-    /// The poll-mode mirror of `claim_coop`'s park protocol, shared by the
-    /// claim and probe futures: announce `ST_BLOCKING`, subscribe under
-    /// the mailbox lock, and either resolve (hit) or record the wait and
-    /// suspend with a block intent. Re-polls first drop the stale
-    /// subscription, exactly like a fiber resuming out of `park`.
+    /// The park protocol shared by the claim and probe futures: announce
+    /// `ST_BLOCKING`, subscribe under the mailbox lock, and either
+    /// resolve (hit) or record the wait and suspend with a block intent.
+    /// Re-polls first drop the stale subscription.
     struct WaitState {
         token: Option<WaitToken>,
     }
@@ -294,7 +235,7 @@ mod imp {
             }
             // Announce intent to block *before* subscribing so a wake-up
             // arriving between subscription and the suspension is never
-            // lost (same ordering as the fiber protocol).
+            // lost.
             slot.core.status.store(ST_BLOCKING, Ordering::Release);
             match subscribe() {
                 Subscribed::Hit(v) => {
@@ -361,9 +302,9 @@ mod imp {
         }
     }
 
-    /// Blocking claim from a poll-mode body: the async mirror of
-    /// `claim_coop`, parking the task through the identical
-    /// announce/subscribe handshake.
+    /// Blocking claim from a poll-mode body: parks the task through the
+    /// announce/subscribe handshake until a matching message is
+    /// committed.
     pub(crate) async fn claim_poll(
         mb: &Mailbox,
         pat: &MatchPattern,
@@ -380,8 +321,8 @@ mod imp {
         .await
     }
 
-    /// Blocking probe from a poll-mode body: the async mirror of
-    /// `probe_coop`.
+    /// Blocking probe from a poll-mode body (same handshake as
+    /// [`claim_poll`]).
     pub(crate) async fn probe_poll(
         mb: &Mailbox,
         pat: &MatchPattern,
@@ -400,10 +341,10 @@ mod imp {
 
     /// The [`RankBody`] the universe wraps every async rank program in: a
     /// pinned future stepped once per claimed poll unit. `proceed` maps
-    /// the poll result onto the fiber intents — `Ready` finishes the
+    /// the poll result onto the task intents — `Ready` finishes the
     /// task, `Pending` reads the intent the suspending primitive stored
-    /// (block vs yield) — and catches panics exactly where the fiber
-    /// body's `catch_unwind` would.
+    /// (block vs yield) — and catches the body's panics so the first one
+    /// can be re-thrown after the run.
     pub(crate) struct FutureBody {
         fut: Pin<Box<dyn Future<Output = ()> + Send + 'static>>,
         rank: usize,

@@ -1,7 +1,7 @@
 //! The universe: runs `p` simulated MPI processes under one of two
-//! backends — an OS thread per rank, or the cooperative fiber scheduler
-//! ([`crate::sched`]) that multiplexes all ranks over a small worker pool
-//! and scales to the paper's 2^15 processes.
+//! backends — an OS thread per rank, or the cooperative epoch scheduler
+//! ([`crate::sched`]) that multiplexes stackless rank bodies over a small
+//! worker pool and scales past the paper's 2^15 processes.
 //!
 //! ```
 //! use mpisim::{Universe, SimConfig, Transport};
@@ -15,13 +15,14 @@
 //! assert_eq!(res.per_rank, vec![0, 0, 0, 0]);
 //! ```
 //!
-//! The same program at 2^15 ranks, which the thread backend cannot reach:
+//! The same program as an async rank body on the cooperative scheduler,
+//! at a rank count the thread backend cannot reach:
 //!
 //! ```
 //! use mpisim::{Universe, SimConfig, Transport};
 //!
-//! let res = Universe::run(1 << 10, SimConfig::cooperative(), |env| {
-//!     env.world.allreduce(&[1u64], |a, b| a + b).unwrap()[0]
+//! let res = Universe::run_poll(1 << 10, SimConfig::cooperative(), |env| async move {
+//!     env.world.allreduce_async(&[1u64], |a, b| a + b).await.unwrap()[0]
 //! });
 //! assert!(res.per_rank.iter().all(|&s| s == 1 << 10));
 //! ```
@@ -46,25 +47,15 @@ pub enum Backend {
     /// One OS thread per simulated rank. Simple and preemptive; practical
     /// up to a few hundred ranks.
     Threads,
-    /// The cooperative fiber scheduler: all ranks multiplexed over
+    /// The cooperative epoch scheduler: every rank is a **pollable state
+    /// machine** ([`crate::sched::poll::RankBody`]) multiplexed over
     /// [`SimConfig::coop_workers`] OS threads under an epoch discipline
     /// that makes runs **bit-for-bit deterministic in `(program, seed)`
     /// for any worker count** — message deliveries commit at epoch
     /// boundaries in global virtual-time order (see [`crate::sched`] and
-    /// DESIGN.md §5). Required for the paper's large-p regime (up to 2^15
-    /// ranks). On targets without fiber support this falls back to
-    /// `Threads`.
-    Cooperative,
-    /// The same epoch scheduler, but every rank is a **pollable state
-    /// machine** ([`crate::sched::poll::RankBody`]) instead of a stackful
-    /// fiber: per-rank cost drops from a stack (128 KiB + guard-page
-    /// VMAs) to the few hundred bytes of `Future` state the compiler's
-    /// async transform retains, unlocking universes past the fiber
-    /// ceiling — p = 2^20 and beyond. Poll steps claim the same
-    /// generation-tagged rounds, stage sends into the same per-task
-    /// buffers, and commit through the unchanged epoch discipline, so
-    /// output is **byte-identical to [`Backend::Cooperative`]** at every
-    /// p both can run. Rank bodies must be async
+    /// DESIGN.md §5). A rank costs the few hundred bytes of `Future`
+    /// state the compiler's async transform retains, so universes reach
+    /// p = 2^20 and beyond. Rank bodies must be async
     /// ([`Universe::run_poll`]); the synchronous [`Universe::run`]
     /// panics under this backend.
     Poll,
@@ -78,7 +69,7 @@ pub struct SimConfig {
     /// The MPI-implementation personality to simulate.
     pub vendor: VendorProfile,
     /// Wall-clock deadlock-detection timeout for blocking operations
-    /// (thread backend; the cooperative backend detects deadlock exactly).
+    /// (thread backend; the poll backend detects deadlock exactly).
     pub recv_timeout: Duration,
     /// Base seed for per-rank deterministic RNG streams and the cooperative
     /// scheduler's initial run order.
@@ -94,19 +85,6 @@ pub struct SimConfig {
     /// run independent ranks of each epoch in parallel with identical
     /// output.
     pub coop_workers: usize,
-    /// Fiber stack size per rank under [`Backend::Cooperative`]. All fiber
-    /// stacks are carved from one commit-on-touch `mmap` slab with a
-    /// `PROT_NONE` **guard page** below each stack, so an overrun faults
-    /// instead of corrupting the neighbouring fiber (plus a bottom-of-stack
-    /// canary as a second line). Guards cost ~2·p kernel VMAs, so above
-    /// roughly 30k ranks (half the default Linux `vm.max_map_count`) the
-    /// slab stays a single unguarded mapping and the canary is the only
-    /// line — as is the rare `mmap`-unavailable heap fallback. The virtual
-    /// reservation is about `p * (coop_stack_size + page)` — the 128 KiB
-    /// default keeps a 2^15-rank universe at a ~4 GiB `MAP_NORESERVE`
-    /// reservation, of which only touched pages are committed. Raise it
-    /// for rank bodies with deep recursion.
-    pub coop_stack_size: usize,
     /// How the cooperative scheduler's epoch commit delivers staged
     /// messages: [`CommitAlgo::Sharded`] (default) partitions the
     /// globally sorted run by destination rank and lets all idle workers
@@ -160,7 +138,6 @@ impl Default for SimConfig {
             stack_size: 1 << 20,
             backend: Backend::Threads,
             coop_workers: 1,
-            coop_stack_size: 128 << 10,
             commit_algo: CommitAlgo::Sharded,
             sort_algo: SortAlgo::Merge,
             coop_commit_shards: 0,
@@ -172,7 +149,9 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// Default configuration on the cooperative scheduler backend. The
+    /// Default configuration on the cooperative scheduler
+    /// ([`Backend::Poll`]; rank bodies go through [`Universe::run_poll`]).
+    /// The
     /// worker-pool size honours the `MPISIM_COOP_WORKERS` environment
     /// variable (default 1), the commit algorithm honours
     /// `MPISIM_COOP_COMMIT` (`sharded`, the default, or `serial` for the
@@ -188,9 +167,8 @@ impl SimConfig {
     /// `MPISIM_TRACE=1` turns on the deterministic event trace and
     /// `MPISIM_SCHED_PROFILE=1` the wall-clock scheduler profile (both
     /// strict boolean knobs; see [`crate::env`]). `MPISIM_BACKEND`
-    /// selects the execution mode (`fiber`, the default, or `poll` for
-    /// stackless poll-mode rank bodies — which requires the program to
-    /// go through [`Universe::run_poll`]).
+    /// selects the execution mode (`poll`, the default, or `threads` to
+    /// run the same async program one OS thread per rank).
     pub fn cooperative() -> SimConfig {
         use crate::env;
         SimConfig {
@@ -278,12 +256,6 @@ impl SimConfig {
         self
     }
 
-    /// Replace the per-rank fiber stack size (cooperative backend).
-    pub fn with_coop_stack_size(mut self, bytes: usize) -> SimConfig {
-        self.coop_stack_size = bytes;
-        self
-    }
-
     /// Replace the fault-injection plan.
     pub fn with_faults(mut self, plan: FaultPlan) -> SimConfig {
         self.faults = plan;
@@ -347,15 +319,15 @@ pub struct SimResult<R> {
     /// Total messages/bytes sent during the run.
     pub traffic: crate::proc::Traffic,
     /// Deterministic model counters of the run (messages, bytes,
-    /// per-class volumes, mailbox scans, epochs, wake-ups, switches) —
-    /// pure functions of `(program, seed, fault plan)` on the cooperative
+    /// per-class volumes, mailbox scans, epochs, wake-ups, resumptions) —
+    /// pure functions of `(program, seed, fault plan)` on the poll
     /// backend, so CI gates them with exact equality. Always collected;
     /// the scheduler fields are zero under [`Backend::Threads`].
     pub metrics: crate::obs::MetricsSnapshot,
     /// The deterministic event trace, when [`SimConfig::trace`] was on.
     pub trace: Option<crate::obs::Trace>,
     /// The wall-clock scheduler phase profile, when
-    /// [`SimConfig::sched_profile`] was on (cooperative backend only).
+    /// [`SimConfig::sched_profile`] was on (poll backend only).
     pub sched_profile: Option<crate::obs::SchedProfile>,
 }
 
@@ -376,62 +348,34 @@ impl<R> SimResult<R> {
 pub struct Universe;
 
 impl Universe {
-    /// Run `f` on `p` simulated processes under `cfg.backend` and collect
-    /// results. Panics in any rank propagate.
+    /// Run the synchronous rank body `f` on `p` simulated processes, one
+    /// OS thread per rank ([`Backend::Threads`]), and collect results.
+    /// Panics in any rank propagate. The cooperative scheduler runs only
+    /// async bodies, so [`Backend::Poll`] panics here: use
+    /// [`Universe::run_poll`].
     pub fn run<R, F>(p: usize, cfg: SimConfig, f: F) -> SimResult<R>
     where
         R: Send,
         F: Fn(ProcEnv) -> R + Send + Sync,
     {
-        assert!(p >= 1, "need at least one process");
-        let mut router = Router::new(
-            p,
-            cfg.cost.clone(),
-            cfg.vendor.clone(),
-            cfg.recv_timeout,
-            FaultState::resolve(&cfg.faults, p),
+        assert!(
+            cfg.backend == Backend::Threads,
+            "Backend::Poll runs async rank bodies: use Universe::run_poll \
+             (the synchronous Universe::run cannot drive poll-mode tasks)"
         );
-        if cfg.trace {
-            router.enable_trace();
-        }
-        let router = Arc::new(router);
-        let states: Vec<Arc<ProcState>> = (0..p)
-            .map(|r| ProcState::new(r, Arc::clone(&router), cfg.seed))
-            .collect();
-        let results: Mutex<Vec<Option<R>>> = Mutex::new((0..p).map(|_| None).collect());
-
-        let (sched_counters, sched_profile) = match cfg.backend {
-            Backend::Poll => panic!(
-                "Backend::Poll runs async rank bodies: use Universe::run_poll \
-                 (the synchronous Universe::run cannot drive poll-mode tasks)"
-            ),
-            Backend::Cooperative if sched::SUPPORTED => {
-                Self::run_coop(p, &cfg, &f, &router, &states, &results)
-            }
-            _ => {
-                Self::run_threads(p, &cfg, &f, &states, &results);
-                ((0, 0, 0), None)
-            }
-        };
-
-        assemble_result(
-            &router,
-            &states,
-            results.into_inner(),
-            sched_counters,
-            sched_profile,
-        )
+        // On rank threads `run_poll` calls the body on the rank's own
+        // thread, so a ready future runs `f` exactly as a sync body.
+        Self::run_poll(p, cfg, |env| std::future::ready(f(env)))
     }
 
     /// Run the async rank body `f` on `p` simulated processes. This is
     /// the entry point for [`Backend::Poll`]: each rank's future becomes
-    /// a pollable state machine stepped by the epoch scheduler — no
-    /// fiber stack, no VMA cost — so universes can reach p = 2^20 and
-    /// beyond. Under [`Backend::Threads`] or [`Backend::Cooperative`]
-    /// the same future is driven to completion synchronously
-    /// ([`crate::block_inline`]: every await resolves in place), so one
-    /// async program serves all three backends with byte-identical
-    /// output. Panics in any rank propagate.
+    /// a pollable state machine stepped by the epoch scheduler, so
+    /// universes can reach p = 2^20 and beyond. Under
+    /// [`Backend::Threads`] the same future is driven to completion on
+    /// its rank's thread ([`crate::block_inline`]: every await resolves
+    /// in place), so one async program serves both backends. Panics in
+    /// any rank propagate.
     pub fn run_poll<R, F, Fut>(p: usize, cfg: SimConfig, f: F) -> SimResult<R>
     where
         R: Send,
@@ -456,23 +400,8 @@ impl Universe {
         let results: Mutex<Vec<Option<R>>> = Mutex::new((0..p).map(|_| None).collect());
 
         let (sched_counters, sched_profile) = match cfg.backend {
-            Backend::Poll if sched::SUPPORTED => {
-                Self::run_poll_coop(p, &cfg, &f, &router, &states, &results)
-            }
-            Backend::Cooperative if sched::SUPPORTED => {
-                // Fiber backend: the future never suspends (every await
-                // parks the fiber inside the poll), so one inline poll
-                // per rank body reproduces the sync path exactly.
-                Self::run_coop(
-                    p,
-                    &cfg,
-                    &|env| crate::sched::poll::block_inline(f(env)),
-                    &router,
-                    &states,
-                    &results,
-                )
-            }
-            _ => {
+            Backend::Poll => Self::run_sched(p, &cfg, &f, &router, &states, &results),
+            Backend::Threads => {
                 Self::run_threads(
                     p,
                     &cfg,
@@ -530,93 +459,12 @@ impl Universe {
         });
     }
 
-    /// Cooperative backend: every rank is a fiber on the shared scheduler.
-    /// Returns the scheduler's deterministic `(epochs, wakeups, switches)`
-    /// counters and — when profiling — its wall-clock phase profile.
-    #[cfg(all(unix, any(target_arch = "x86_64", target_arch = "aarch64")))]
-    fn run_coop<R, F>(
-        p: usize,
-        cfg: &SimConfig,
-        f: &F,
-        router: &Arc<Router>,
-        states: &[Arc<ProcState>],
-        results: &Mutex<Vec<Option<R>>>,
-    ) -> ((u64, u64, u64), Option<crate::obs::SchedProfile>)
-    where
-        R: Send,
-        F: Fn(ProcEnv) -> R + Send + Sync,
-    {
-        let scheduler = sched::Scheduler::new(
-            p,
-            cfg.coop_stack_size,
-            Arc::clone(router),
-            cfg.commit_algo,
-            cfg.sort_algo,
-            cfg.coop_commit_shards,
-            cfg.sched_profile,
-            // A solo run owns a private pool set; only a fleet
-            // ([`crate::sched::fleet::Fleet`]) shares one across universes.
-            Arc::new(sched::SchedPools::default()),
-            None,
-            false,
-        );
-        let store = scheduler.panic_store();
-        for (rank, state) in states.iter().enumerate() {
-            let state = Arc::clone(state);
-            let store = Arc::clone(&store);
-            let body = move || {
-                let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let env = ProcEnv {
-                        world: Comm::world(state),
-                    };
-                    f(env)
-                }));
-                match out {
-                    Ok(v) => results.lock()[rank] = Some(v),
-                    Err(e) => sched::record_panic(&store, rank, e),
-                }
-            };
-            // Safety: `run` below drives every fiber to completion before
-            // returning, so the body's borrows of `f` and `results` never
-            // outlive this stack frame.
-            unsafe {
-                scheduler.spawn(rank, erase_body_lifetime(Box::new(body)));
-            }
-        }
-        let order = seeded_order(p, cfg.seed);
-        if let Some((_rank, payload)) = scheduler.run(cfg.coop_workers, &order) {
-            std::panic::resume_unwind(payload);
-        }
-        (scheduler.counters(), scheduler.take_profile())
-    }
-
-    /// Fallback for targets without a fiber implementation: the dispatch
-    /// in [`Universe::run`] never reaches this arm there (`sched::SUPPORTED`
-    /// is false), but the call must still compile.
-    #[cfg(not(all(unix, any(target_arch = "x86_64", target_arch = "aarch64"))))]
-    fn run_coop<R, F>(
-        p: usize,
-        cfg: &SimConfig,
-        f: &F,
-        _router: &Arc<Router>,
-        states: &[Arc<ProcState>],
-        results: &Mutex<Vec<Option<R>>>,
-    ) -> ((u64, u64, u64), Option<crate::obs::SchedProfile>)
-    where
-        R: Send,
-        F: Fn(ProcEnv) -> R + Send + Sync,
-    {
-        Self::run_threads(p, cfg, f, states, results);
-        ((0, 0, 0), None)
-    }
-
     /// Poll backend: every rank is a stackless poll-mode state machine
-    /// (`crate::sched::poll::FutureBody`) on the shared epoch
-    /// scheduler. Mirrors [`Universe::run_coop`] — same seeded order,
-    /// same panic handling, same counters — with `spawn_poll` in place
-    /// of fiber spawn.
-    #[cfg(all(unix, any(target_arch = "x86_64", target_arch = "aarch64")))]
-    fn run_poll_coop<R, F, Fut>(
+    /// (`crate::sched::poll::FutureBody`) on the shared epoch scheduler,
+    /// started in the seeded order. Returns the scheduler's deterministic
+    /// `(epochs, wakeups, switches)` counters and — when profiling — its
+    /// wall-clock phase profile.
+    fn run_sched<R, F, Fut>(
         p: usize,
         cfg: &SimConfig,
         f: &F,
@@ -631,15 +479,15 @@ impl Universe {
     {
         let scheduler = sched::Scheduler::new(
             p,
-            cfg.coop_stack_size,
             Arc::clone(router),
             cfg.commit_algo,
             cfg.sort_algo,
             cfg.coop_commit_shards,
             cfg.sched_profile,
+            // A solo run owns a private pool set; only a fleet
+            // ([`crate::sched::fleet::Fleet`]) shares one across universes.
             Arc::new(sched::SchedPools::default()),
             None,
-            true,
         );
         let store = scheduler.panic_store();
         for (rank, state) in states.iter().enumerate() {
@@ -652,8 +500,7 @@ impl Universe {
                 results.lock()[rank] = Some(out);
             };
             // Panics inside the future are caught per poll step by
-            // `FutureBody::proceed` and recorded first-wins, exactly
-            // like the fiber body's `catch_unwind`.
+            // `FutureBody::proceed` and recorded first-wins.
             let body = sched::poll::FutureBody::new(
                 // Safety: `run` below drives every body to completion
                 // before returning, so the future's borrows of `f` and
@@ -663,7 +510,7 @@ impl Universe {
                 Arc::clone(&store),
             );
             unsafe {
-                scheduler.spawn_poll(rank, Box::new(body));
+                scheduler.spawn(rank, Box::new(body));
             }
         }
         let order = seeded_order(p, cfg.seed);
@@ -685,7 +532,7 @@ impl Universe {
 
 /// The deterministic seeded initial run order of a cooperative run: a
 /// Fisher–Yates shuffle of `0..p` driven by a hash of the config seed.
-/// Shared verbatim by [`Universe::run`] and fleet admission
+/// Shared verbatim by [`Universe::run_poll`] and fleet admission
 /// ([`crate::sched::fleet::Fleet::submit`]) so a universe starts from the
 /// same epoch-1 order whichever path launched it.
 pub(crate) fn seeded_order(p: usize, seed: u64) -> Vec<usize> {
@@ -702,7 +549,7 @@ pub(crate) fn seeded_order(p: usize, seed: u64) -> Vec<usize> {
 }
 
 /// Assemble a [`SimResult`] from a completed run's raw state. Shared by
-/// [`Universe::run`] and fleet completion so the two paths can never
+/// the universe entry points and fleet completion so the paths can never
 /// drift: per-rank values, final clocks, traffic, the deterministic
 /// metrics snapshot (with the scheduler's epoch/wakeup/switch counters
 /// spliced in), the optional trace, and the optional wall-clock profile.
@@ -732,18 +579,8 @@ pub(crate) fn assemble_result<R>(
     }
 }
 
-/// Erase a rank body's borrow lifetime so it can live in a task slot; see
-/// the safety comment at the call site.
-#[cfg(all(unix, any(target_arch = "x86_64", target_arch = "aarch64")))]
-unsafe fn erase_body_lifetime<'a>(
-    b: Box<dyn FnOnce() + Send + 'a>,
-) -> Box<dyn FnOnce() + Send + 'static> {
-    std::mem::transmute(b)
-}
-
-/// Erase a poll-mode rank future's borrow lifetime so it can live in a
-/// task slot; same safety argument as [`erase_body_lifetime`].
-#[cfg(all(unix, any(target_arch = "x86_64", target_arch = "aarch64")))]
+/// Erase a rank future's borrow lifetime so it can live in a task slot;
+/// see the safety comment at the call site.
 unsafe fn erase_future_lifetime<'a>(
     b: std::pin::Pin<Box<dyn std::future::Future<Output = ()> + Send + 'a>>,
 ) -> std::pin::Pin<Box<dyn std::future::Future<Output = ()> + Send + 'static>> {
@@ -811,18 +648,22 @@ mod tests {
 
     #[test]
     fn coop_ranks_see_world() {
-        let res = Universe::run(5, SimConfig::cooperative(), |env| (env.rank(), env.size()));
+        let res = Universe::run_poll(5, SimConfig::cooperative(), |env| async move {
+            (env.rank(), env.size())
+        });
         assert_eq!(res.per_rank, vec![(0, 5), (1, 5), (2, 5), (3, 5), (4, 5)]);
     }
 
     #[test]
     fn coop_ring_send_recv() {
-        let res = Universe::run(4, SimConfig::cooperative(), |env| {
+        let res = Universe::run_poll(4, SimConfig::cooperative(), |env| async move {
             let w = &env.world;
             let next = (w.rank() + 1) % 4;
             let prev = (w.rank() + 3) % 4;
             w.send(&[w.rank() as u64], next, 1).unwrap();
-            let (v, st) = w.recv::<u64>(Src::Rank(prev), 1).unwrap();
+            let (v, st) = crate::recv_async::<u64, _>(w, Src::Rank(prev), 1)
+                .await
+                .unwrap();
             assert_eq!(st.source, prev);
             v[0]
         });
@@ -832,7 +673,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn coop_rank_panic_propagates() {
-        Universe::run(2, SimConfig::cooperative(), |env| {
+        Universe::run_poll(2, SimConfig::cooperative(), |env| async move {
             if env.rank() == 1 {
                 panic!("boom");
             }
@@ -844,9 +685,9 @@ mod tests {
 
     #[test]
     fn coop_bcast_works() {
-        let res = Universe::run(8, SimConfig::cooperative(), |env| {
+        let res = Universe::run_poll(8, SimConfig::cooperative(), |env| async move {
             let mut x = vec![env.rank() as u64 * 100];
-            env.world.bcast(&mut x, 3).unwrap();
+            env.world.bcast_async(&mut x, 3).await.unwrap();
             x[0]
         });
         assert_eq!(res.per_rank, vec![300; 8]);

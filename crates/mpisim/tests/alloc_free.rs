@@ -30,9 +30,10 @@
 //! the staged payload path, not every collective's internal rendezvous.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::future::Future;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use mpisim::{coll, distsort, ops, SimConfig, SortAlgo, Src, Transport, Universe};
+use mpisim::{coll, distsort, ops, recv_async, SimConfig, SortAlgo, Src, Transport, Universe};
 
 /// Counts every allocation event (alloc, alloc_zeroed, and realloc —
 /// a realloc that moves is a fresh allocation for our purposes); frees
@@ -104,7 +105,7 @@ const PAYLOAD_ALLOCS_PER_ITER: u64 = 81;
 /// buffer. Each rank sends to both ring neighbours under one tag and
 /// drains them with wildcard receives, so the commit orders several
 /// messages per destination and the mailbox serves `Src::Any` matches.
-fn empty_storm_body(env: mpisim::ProcEnv) -> Vec<u64> {
+async fn empty_storm_body(env: mpisim::ProcEnv) -> Vec<u64> {
     let w = &env.world;
     let r = w.rank();
     let p = w.size();
@@ -113,19 +114,19 @@ fn empty_storm_body(env: mpisim::ProcEnv) -> Vec<u64> {
         w.send::<u64>(&[], (r + 1) % p, 100).unwrap();
         w.send::<u64>(&[], (r + p - 1) % p, 100).unwrap();
         for _ in 0..2 {
-            let (v, _) = w.recv::<u64>(Src::Any, 100).unwrap();
+            let (v, _) = recv_async::<u64, _>(w, Src::Any, 100).await.unwrap();
             assert!(v.is_empty());
         }
-        coll::barrier(w, 400).unwrap();
+        coll::barrier_async(w, 400).await.unwrap();
         snapshot(r, &mut snaps);
     }
     snaps
 }
 
-/// The payload storm, contract (b), as a plain `fn` so the same body
-/// (and thus the same allocation profile) runs both solo and under a
+/// The payload storm, contract (b), as a plain `async fn` so the same
+/// body (and thus the same allocation profile) runs both solo and under a
 /// [`mpisim::Fleet`].
-fn payload_storm_body(env: mpisim::ProcEnv) -> Vec<u64> {
+async fn payload_storm_body(env: mpisim::ProcEnv) -> Vec<u64> {
     let w = &env.world;
     let r = w.rank();
     let p = w.size();
@@ -136,11 +137,15 @@ fn payload_storm_body(env: mpisim::ProcEnv) -> Vec<u64> {
     for i in 0..ITERS {
         // Ring point-to-point.
         w.send(&payload, next, 100).unwrap();
-        let (v, st) = w.recv::<u64>(Src::Rank(prev), 100).unwrap();
+        let (v, st) = recv_async::<u64, _>(w, Src::Rank(prev), 100).await.unwrap();
         assert_eq!((st.source, v.len()), (prev, CHUNK));
         // Binomial reduce to rank 0, then a Hillis–Steele inclusive scan.
-        coll::reduce(w, &payload, 0, 200, ops::sum::<u64>()).unwrap();
-        coll::scan(w, &payload, 300, ops::sum::<u64>()).unwrap();
+        coll::reduce_async(w, &payload, 0, 200, ops::sum::<u64>())
+            .await
+            .unwrap();
+        coll::scan_async(w, &payload, 300, ops::sum::<u64>())
+            .await
+            .unwrap();
         // JQuick-style staged exchange: tag a locally sorted chunk
         // with positions, run-length encode, ship both frames to
         // the ring neighbour, decode. This is exactly the wire format
@@ -150,10 +155,12 @@ fn payload_storm_body(env: mpisim::ProcEnv) -> Vec<u64> {
         let (runs, vals) = distsort::encode_runs(tagged);
         w.send(&runs, next, 500).unwrap();
         w.send_vec(vals, next, 501).unwrap();
-        let (rruns, _) = w.recv::<(u64, u64)>(Src::Rank(prev), 500).unwrap();
-        let (rvals, _) = w.recv::<u64>(Src::Rank(prev), 501).unwrap();
+        let (rruns, _) = recv_async::<(u64, u64), _>(w, Src::Rank(prev), 500)
+            .await
+            .unwrap();
+        let (rvals, _) = recv_async::<u64, _>(w, Src::Rank(prev), 501).await.unwrap();
         assert_eq!(distsort::decode_runs(&rruns, rvals).len(), CHUNK);
-        coll::barrier(w, 400).unwrap();
+        coll::barrier_async(w, 400).await.unwrap();
         snapshot(r, &mut snaps);
     }
     snaps
@@ -187,13 +194,18 @@ fn storm_cfg(seed: u64) -> SimConfig {
         .with_sort_algo(SortAlgo::Merge)
 }
 
-type Body = fn(mpisim::ProcEnv) -> Vec<u64>;
+/// A storm body: one of the two `async fn`s above.
+trait Body<Fut>: Fn(mpisim::ProcEnv) -> Fut + Copy + Send + Sync + 'static {}
+impl<F, Fut> Body<Fut> for F where F: Fn(mpisim::ProcEnv) -> Fut + Copy + Send + Sync + 'static {}
 
 /// One full solo storm run. Returns rank 0's allocation-counter
 /// snapshot after each iteration, plus the run's total count.
-fn solo_run(body: Body) -> (Vec<u64>, u64) {
+fn solo_run<Fut>(body: impl Body<Fut>) -> (Vec<u64>, u64)
+where
+    Fut: Future<Output = Vec<u64>> + Send + 'static,
+{
     let before = ALLOCS.load(Ordering::Relaxed);
-    let res = Universe::run(P, storm_cfg(42), body);
+    let res = Universe::run_poll(P, storm_cfg(42), body);
     let total = ALLOCS.load(Ordering::Relaxed) - before;
     let snaps = res.per_rank.into_iter().next().unwrap();
     assert_eq!(snaps.len(), ITERS);
@@ -205,8 +217,10 @@ fn solo_run(body: Body) -> (Vec<u64>, u64) {
 /// worker thread, and the in-body counter snapshots still race with
 /// nothing: the submitter blocks in `join` and the sweep's own
 /// bookkeeping happens strictly outside the program body.
-#[cfg(all(unix, any(target_arch = "x86_64", target_arch = "aarch64")))]
-fn fleet_run(fleet: &mpisim::Fleet, body: Body) -> Vec<u64> {
+fn fleet_run<Fut>(fleet: &mpisim::Fleet, body: impl Body<Fut>) -> Vec<u64>
+where
+    Fut: Future<Output = Vec<u64>> + Send + 'static,
+{
     let res = fleet.submit(P, storm_cfg(42), body).join();
     let snaps = res.per_rank.into_iter().next().unwrap();
     assert_eq!(snaps.len(), ITERS);
@@ -224,7 +238,10 @@ fn steady_deltas(snaps: &[u64]) -> Vec<u64> {
 
 /// Check one storm (a or b) against `per_iter` across a cold solo run,
 /// two warm solo runs, and a fleet's cold and two warm runs.
-fn check_storm(label: &str, body: Body, per_iter: u64) {
+fn check_storm<Fut>(label: &str, body: impl Body<Fut>, per_iter: u64)
+where
+    Fut: Future<Output = Vec<u64>> + Send + 'static,
+{
     let assert_steady = |run: &str, snaps: &[u64]| {
         let deltas = steady_deltas(snaps);
         assert!(
@@ -253,12 +270,9 @@ fn check_storm(label: &str, body: Body, per_iter: u64) {
     // admitted universe. Universe #1 starts on a cold worker thread;
     // universes #2 and #3 of the same shape reuse its pools. All three
     // must make the same per-iteration count as a solo run.
-    #[cfg(all(unix, any(target_arch = "x86_64", target_arch = "aarch64")))]
-    {
-        let fleet = mpisim::Fleet::new(1, 1);
-        for run in ["cold fleet run 1", "warm fleet run 2", "warm fleet run 3"] {
-            assert_steady(run, &fleet_run(&fleet, body));
-        }
+    let fleet = mpisim::Fleet::new(1, 1);
+    for run in ["cold fleet run 1", "warm fleet run 2", "warm fleet run 3"] {
+        assert_steady(run, &fleet_run(&fleet, body));
     }
 }
 

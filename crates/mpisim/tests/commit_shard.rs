@@ -14,7 +14,7 @@
 use std::sync::{Arc, Mutex};
 
 use mpisim::nbcoll;
-use mpisim::{ops, CommitAlgo, SimConfig, SortAlgo, Src, Time, Transport, Universe};
+use mpisim::{ops, recv_async, CommitAlgo, SimConfig, SortAlgo, Src, Time, Transport, Universe};
 use proptest::prelude::*;
 
 /// One rank's full observation of a storm run: the exact `(source, tag,
@@ -51,37 +51,40 @@ fn storm_log(
         .with_commit_algo(algo)
         .with_sort_algo(sort)
         .with_commit_shards(shards);
-    let res = Universe::run(p, cfg, move |env| {
-        let w = &env.world;
-        let r = w.rank();
-        // Fan-out storm with colliding tags.
-        for i in 0..per {
-            for (k, off) in FANOUT_OFFSETS.iter().enumerate() {
-                let dst = (r + off) % p;
-                w.send(&[(r * 1000 + i * 10 + k) as u64], dst, tag_of(k))
-                    .unwrap();
+    let res = Universe::run_poll(p, cfg, move |env| {
+        let logs2 = Arc::clone(&logs2);
+        async move {
+            let w = &env.world;
+            let r = w.rank();
+            // Fan-out storm with colliding tags.
+            for i in 0..per {
+                for (k, off) in FANOUT_OFFSETS.iter().enumerate() {
+                    let dst = (r + off) % p;
+                    w.send(&[(r * 1000 + i * 10 + k) as u64], dst, tag_of(k))
+                        .unwrap();
+                }
             }
-        }
-        // A nonblocking collective runs concurrently with the storm, so
-        // library-internal traffic shares the same epoch commits.
-        let coll = nbcoll::iallreduce(w, &[r as u64 + 1], 300, ops::sum::<u64>()).unwrap();
-        // Wildcard-drain each colliding tag stream: per tag t the rank's
-        // in-degree is per * |{k : tag_of(k) == t}| (offsets are distinct
-        // and nonzero mod p, so in-degree mirrors out-degree).
-        let mut got = Vec::new();
-        for t in 0..3u64 {
-            let n = per
-                * (0..FANOUT_OFFSETS.len())
-                    .filter(|&k| tag_of(k) == t)
-                    .count();
-            for _ in 0..n {
-                let (v, st) = w.recv::<u64>(Src::Any, t).unwrap();
-                got.push((st.source, t, v[0]));
+            // A nonblocking collective runs concurrently with the storm, so
+            // library-internal traffic shares the same epoch commits.
+            let coll = nbcoll::iallreduce(w, &[r as u64 + 1], 300, ops::sum::<u64>()).unwrap();
+            // Wildcard-drain each colliding tag stream: per tag t the rank's
+            // in-degree is per * |{k : tag_of(k) == t}| (offsets are distinct
+            // and nonzero mod p, so in-degree mirrors out-degree).
+            let mut got = Vec::new();
+            for t in 0..3u64 {
+                let n = per
+                    * (0..FANOUT_OFFSETS.len())
+                        .filter(|&k| tag_of(k) == t)
+                        .count();
+                for _ in 0..n {
+                    let (v, st) = recv_async::<u64, _>(w, Src::Any, t).await.unwrap();
+                    got.push((st.source, t, v[0]));
+                }
             }
+            let sum = coll.wait_result_async().await.unwrap()[0];
+            logs2.lock().unwrap()[r] = got;
+            sum
         }
-        let sum = coll.wait_result().unwrap()[0];
-        logs2.lock().unwrap()[r] = got;
-        sum
     });
     let logs = Arc::try_unwrap(logs).unwrap().into_inner().unwrap();
     logs.into_iter()

@@ -4,12 +4,13 @@
 //! seed)` — **for every worker count**: the epoch discipline commits
 //! deliveries in global virtual-time order, so `coop_workers ∈ {1, 2, 4,
 //! 8}` must produce bit-identical delivery logs, clocks, and sort outputs.
+//! Rank bodies are async and run through `Universe::run_poll`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use mpisim::nbcoll;
-use mpisim::{coll, ops, MpiError, SimConfig, Src, Time, Transport, Universe};
+use mpisim::{coll, ops, recv_async, MpiError, SimConfig, Src, Time, Transport, Universe};
 use proptest::prelude::*;
 
 #[test]
@@ -19,12 +20,12 @@ fn coop_message_storm_all_to_one() {
     // wakes rank 0 exactly when a match exists.
     let p = 64;
     let per = 32;
-    let res = Universe::run(p, SimConfig::cooperative(), move |env| {
+    let res = Universe::run_poll(p, SimConfig::cooperative(), move |env| async move {
         let w = &env.world;
         if w.rank() == 0 {
             let mut total = 0u64;
             for _ in 0..(p - 1) * per {
-                let (v, _) = w.recv::<u64>(Src::Any, 9).unwrap();
+                let (v, _) = recv_async::<u64, _>(w, Src::Any, 9).await.unwrap();
                 total += v[0];
             }
             total
@@ -41,9 +42,9 @@ fn coop_message_storm_all_to_one() {
 
 #[test]
 fn coop_nonblocking_collectives_progress() {
-    // Nonblocking machines poll with `mpisim::yield_now()`, which under the
+    // Nonblocking machines wait through `waitall_async`, which under the
     // scheduler must hand the worker to other ranks instead of spinning.
-    let res = Universe::run(12, SimConfig::cooperative(), |env| {
+    let res = Universe::run_poll(12, SimConfig::cooperative(), |env| async move {
         let w = &env.world;
         let mut reqs: Vec<nbcoll::Request> = (0..4u64)
             .map(|k| {
@@ -52,7 +53,7 @@ fn coop_nonblocking_collectives_progress() {
                 )
             })
             .collect();
-        nbcoll::waitall(&mut reqs).unwrap();
+        nbcoll::waitall_async(&mut reqs).await.unwrap();
         true
     });
     assert!(res.per_rank.iter().all(|&ok| ok));
@@ -62,10 +63,13 @@ fn coop_nonblocking_collectives_progress() {
 fn coop_split_and_vendor_collectives() {
     // Native MPI_Comm_split (allgather + mask agreement) under the
     // scheduler: context agreement blocks and wakes across sub-groups.
-    let res = Universe::run(9, SimConfig::cooperative(), |env| {
+    let res = Universe::run_poll(9, SimConfig::cooperative(), |env| async move {
         let w = &env.world;
-        let c = w.split((w.rank() % 3) as u64, w.rank() as u64).unwrap();
-        c.allreduce(&[1u64], ops::sum::<u64>()).unwrap()[0]
+        let c = w
+            .split_async((w.rank() % 3) as u64, w.rank() as u64)
+            .await
+            .unwrap();
+        c.allreduce_async(&[1u64], ops::sum::<u64>()).await.unwrap()[0]
     });
     assert_eq!(res.per_rank, vec![3, 3, 3, 3, 3, 3, 3, 3, 3]);
 }
@@ -76,10 +80,11 @@ fn coop_deadlock_is_poisoned_not_hung() {
     // deadlock. The cooperative detector must fire immediately (no
     // wall-clock wait) and surface MpiError::Timeout on every rank.
     let t0 = std::time::Instant::now();
-    let res = Universe::run(2, SimConfig::cooperative(), |env| {
+    let res = Universe::run_poll(2, SimConfig::cooperative(), |env| async move {
         let w = &env.world;
         let other = 1 - w.rank();
-        w.recv::<u64>(Src::Rank(other), 1).err().map(|e| match e {
+        let got = recv_async::<u64, _>(w, Src::Rank(other), 1).await;
+        got.err().map(|e| match e {
             MpiError::Timeout { rank, .. } => rank,
             other => panic!("expected Timeout, got {other:?}"),
         })
@@ -91,12 +96,14 @@ fn coop_deadlock_is_poisoned_not_hung() {
 
 #[test]
 fn coop_clock_skew_barrier_still_correct() {
-    let res = Universe::run(9, SimConfig::cooperative(), |env| {
+    let res = Universe::run_poll(9, SimConfig::cooperative(), |env| async move {
         let w = &env.world;
         env.state()
             .charge(Time::from_millis(w.rank() as u64 * w.rank() as u64));
-        let s = coll::scan(w, &[w.rank() as u64], 7, ops::sum::<u64>()).unwrap()[0];
-        coll::barrier(w, 9).unwrap();
+        let s = coll::scan_async(w, &[w.rank() as u64], 7, ops::sum::<u64>())
+            .await
+            .unwrap()[0];
+        coll::barrier_async(w, 9).await.unwrap();
         (s, env.now())
     });
     for (r, (s, t)) in res.per_rank.iter().enumerate() {
@@ -110,7 +117,7 @@ fn coop_clock_skew_barrier_still_correct() {
 fn coop_yield_fairness_under_polling() {
     // A rank that busy-polls (try_recv + yield) must not starve the rank
     // it is waiting on when both share the single worker.
-    let res = Universe::run(2, SimConfig::cooperative(), |env| {
+    let res = Universe::run_poll(2, SimConfig::cooperative(), |env| async move {
         let w = &env.world;
         if w.rank() == 0 {
             let mut polls = 0u64;
@@ -119,12 +126,12 @@ fn coop_yield_fairness_under_polling() {
                     return (v[0], polls);
                 }
                 polls += 1;
-                mpisim::yield_now();
+                mpisim::yield_now_async().await;
             }
         } else {
             // Let rank 0 poll a few times before satisfying it.
             for _ in 0..3 {
-                mpisim::yield_now();
+                mpisim::yield_now_async().await;
             }
             w.send(&[42u64], 0, 5).unwrap();
             (0, 0)
@@ -137,35 +144,43 @@ fn coop_yield_fairness_under_polling() {
 /// the rank's wildcard receives matched, plus its final virtual clock.
 type DeliveryLog = (Vec<(usize, u64)>, Time);
 
+/// Per-run store for the wildcard delivery logs.
+type LogStore = Arc<Mutex<Vec<Vec<(usize, u64)>>>>;
+
 /// Observed delivery log of one run, one entry per rank.
 fn storm_delivery_log(p: usize, per: usize, seed: u64, workers: usize) -> Vec<DeliveryLog> {
-    type LogStore = Arc<Mutex<Vec<Vec<(usize, u64)>>>>;
     let logs: LogStore = Arc::new(Mutex::new(vec![Vec::new(); p]));
     let logs2 = Arc::clone(&logs);
     let cfg = SimConfig::cooperative()
         .with_seed(seed)
         .with_workers(workers);
-    let res = Universe::run(p, cfg, move |env| {
-        let w = &env.world;
-        // All-to-all storm: every rank sends `per` tagged messages to
-        // every other rank, then wildcard-receives its share.
-        for i in 0..per {
-            for dst in 0..w.size() {
-                if dst != w.rank() {
-                    w.send(&[(w.rank() * 1000 + i) as u64], dst, 7).unwrap();
-                }
-            }
-        }
-        let mut got = Vec::new();
-        for _ in 0..(w.size() - 1) * per {
-            let (v, st) = w.recv::<u64>(Src::Any, 7).unwrap();
-            got.push((st.source, v[0]));
-        }
-        logs2.lock().unwrap()[w.rank()] = got;
-        env.now()
+    let res = Universe::run_poll(p, cfg, move |env| {
+        let logs2 = Arc::clone(&logs2);
+        storm_rank(env, per, logs2)
     });
     let logs = Arc::try_unwrap(logs).unwrap().into_inner().unwrap();
     logs.into_iter().zip(res.clocks).collect()
+}
+
+/// One rank of the all-to-all storm; records its wildcard deliveries.
+async fn storm_rank(env: mpisim::ProcEnv, per: usize, logs: LogStore) -> Time {
+    let w = &env.world;
+    // All-to-all storm: every rank sends `per` tagged messages to
+    // every other rank, then wildcard-receives its share.
+    for i in 0..per {
+        for dst in 0..w.size() {
+            if dst != w.rank() {
+                w.send(&[(w.rank() * 1000 + i) as u64], dst, 7).unwrap();
+            }
+        }
+    }
+    let mut got = Vec::new();
+    for _ in 0..(w.size() - 1) * per {
+        let (v, st) = recv_async::<u64, _>(w, Src::Any, 7).await.unwrap();
+        got.push((st.source, v[0]));
+    }
+    logs.lock().unwrap()[w.rank()] = got;
+    env.now()
 }
 
 proptest! {
@@ -209,11 +224,14 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let run = |cfg: SimConfig| {
-            Universe::run(p, cfg.with_seed(seed), |env| {
+            Universe::run_poll(p, cfg.with_seed(seed), |env| async move {
                 let w = &env.world;
-                let s = coll::allreduce(w, &[w.rank() as u64 + 1], 5, ops::sum::<u64>())
+                let s = coll::allreduce_async(w, &[w.rank() as u64 + 1], 5, ops::sum::<u64>())
+                    .await
                     .unwrap()[0];
-                let sc = coll::scan(w, &[1u64], 7, ops::sum::<u64>()).unwrap()[0];
+                let sc = coll::scan_async(w, &[1u64], 7, ops::sum::<u64>())
+                    .await
+                    .unwrap()[0];
                 (s, sc)
             })
             .per_rank
@@ -224,15 +242,19 @@ proptest! {
 
 #[test]
 fn coop_many_sequential_universes() {
-    // Scheduler state must not leak between runs (fresh slots, stacks,
-    // thread-local CURRENT restored).
+    // Scheduler state must not leak between runs (fresh slots and rank
+    // bodies, thread-local CURRENT restored).
     let launches = Arc::new(AtomicUsize::new(0));
     for round in 0..10u64 {
         let launches = Arc::clone(&launches);
-        let res = Universe::run(8, SimConfig::cooperative().with_seed(round), move |env| {
+        let res = Universe::run_poll(8, SimConfig::cooperative().with_seed(round), move |env| {
             launches.fetch_add(1, Ordering::Relaxed);
-            let w = &env.world;
-            coll::allreduce(w, &[round], 5, ops::sum::<u64>()).unwrap()[0]
+            async move {
+                let w = &env.world;
+                coll::allreduce_async(w, &[round], 5, ops::sum::<u64>())
+                    .await
+                    .unwrap()[0]
+            }
         });
         assert!(res.per_rank.iter().all(|&v| v == 8 * round));
     }

@@ -11,7 +11,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use mpisim::{nbcoll, FaultPlan, Fleet};
+use mpisim::{nbcoll, recv_async, FaultPlan, Fleet};
 use mpisim::{ops, CommitAlgo, SimConfig, SimResult, Src, Time, Transport, Universe};
 use proptest::prelude::*;
 
@@ -32,40 +32,35 @@ fn tag_of(k: usize) -> u64 {
 /// Per-run store for the wildcard delivery logs.
 type LogStore = Arc<Mutex<Vec<Vec<(usize, u64, u64)>>>>;
 
-/// The storm program as a `'static` closure, so the same body serves both
-/// a solo [`Universe::run`] and a [`Fleet::submit`] batch.
-fn storm_program(
-    p: usize,
-    per: usize,
-    logs: LogStore,
-) -> impl Fn(mpisim::ProcEnv) -> String + Send + Sync + 'static {
-    move |env| {
-        let w = &env.world;
-        let r = w.rank();
-        let body = || -> mpisim::Result<u64> {
-            for i in 0..per {
-                for (k, off) in FANOUT_OFFSETS.iter().enumerate() {
-                    let dst = (r + off) % p;
-                    w.send(&[(r * 1000 + i * 10 + k) as u64], dst, tag_of(k))?;
-                }
+/// One rank of the storm program, owning everything it touches, so the
+/// same body serves both a solo [`Universe::run_poll`] and a
+/// [`Fleet::submit`] batch.
+async fn storm_rank(env: mpisim::ProcEnv, p: usize, per: usize, logs: LogStore) -> String {
+    let w = &env.world;
+    let r = w.rank();
+    let body = async {
+        for i in 0..per {
+            for (k, off) in FANOUT_OFFSETS.iter().enumerate() {
+                let dst = (r + off) % p;
+                w.send(&[(r * 1000 + i * 10 + k) as u64], dst, tag_of(k))?;
             }
-            let coll = nbcoll::iallreduce(w, &[r as u64 + 1], 300, ops::sum::<u64>())?;
-            for t in 0..3u64 {
-                let n = per
-                    * (0..FANOUT_OFFSETS.len())
-                        .filter(|&k| tag_of(k) == t)
-                        .count();
-                for _ in 0..n {
-                    let (v, st) = w.recv::<u64>(Src::Any, t)?;
-                    logs.lock().unwrap()[r].push((st.source, t, v[0]));
-                }
-            }
-            Ok(coll.wait_result()?[0])
-        };
-        match body() {
-            Ok(sum) => format!("ok:{sum}"),
-            Err(e) => format!("{e}"),
         }
+        let coll = nbcoll::iallreduce(w, &[r as u64 + 1], 300, ops::sum::<u64>())?;
+        for t in 0..3u64 {
+            let n = per
+                * (0..FANOUT_OFFSETS.len())
+                    .filter(|&k| tag_of(k) == t)
+                    .count();
+            for _ in 0..n {
+                let (v, st) = recv_async::<u64, _>(w, Src::Any, t).await?;
+                logs.lock().unwrap()[r].push((st.source, t, v[0]));
+            }
+        }
+        mpisim::Result::Ok(coll.wait_result_async().await?[0])
+    };
+    match body.await {
+        Ok(sum) => format!("ok:{sum}"),
+        Err(e) => format!("{e}"),
     }
 }
 
@@ -104,7 +99,10 @@ fn faulted_storm_log(
     assert!(p > *FANOUT_OFFSETS.iter().max().unwrap());
     let logs: LogStore = Arc::new(Mutex::new(vec![Vec::new(); p]));
     let cfg = storm_cfg(seed, algo, plan).with_workers(workers);
-    let res = Universe::run(p, cfg, storm_program(p, per, Arc::clone(&logs)));
+    let logs2 = Arc::clone(&logs);
+    let res = Universe::run_poll(p, cfg, move |env| {
+        storm_rank(env, p, per, Arc::clone(&logs2))
+    });
     zip_logs(&logs, res)
 }
 
@@ -122,11 +120,10 @@ fn assert_fault_plan_deterministic(p: usize, per: usize, seed: u64, plan: &Fault
             .into_iter()
             .map(|algo| {
                 let logs: LogStore = Arc::new(Mutex::new(vec![Vec::new(); p]));
-                let handle = fleet.submit(
-                    p,
-                    storm_cfg(seed, algo, plan),
-                    storm_program(p, per, Arc::clone(&logs)),
-                );
+                let logs2 = Arc::clone(&logs);
+                let handle = fleet.submit(p, storm_cfg(seed, algo, plan), move |env| {
+                    storm_rank(env, p, per, Arc::clone(&logs2))
+                });
                 (algo, logs, handle)
             })
             .collect();

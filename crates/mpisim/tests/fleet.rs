@@ -1,6 +1,6 @@
 //! Fleet-vs-solo oracle: a universe co-scheduled in a [`Fleet`] must be
 //! **byte-identical** to the same `(program, config)` run solo through
-//! [`Universe::run`] — rank logs, outcome strings (`RoundBlame` text
+//! [`Universe::run_poll`] — rank logs, outcome strings (`RoundBlame` text
 //! included), virtual clocks, the exact metrics snapshot, and the event
 //! trace — regardless of the fleet's worker count, its admission window,
 //! the submission order, or what other universes it is co-scheduled
@@ -10,7 +10,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use mpisim::{nbcoll, FaultPlan, Fleet};
+use mpisim::{nbcoll, recv_async, FaultPlan, Fleet};
 use mpisim::{ops, SimConfig, SimResult, Src, Time, Transport, Universe};
 use proptest::prelude::*;
 
@@ -50,40 +50,34 @@ fn scenario_cfg(sc: &Scenario, workers: usize) -> SimConfig {
 
 type LogStore = Arc<Mutex<Vec<Vec<(usize, u64, u64)>>>>;
 
-/// The storm program, parameterized so the *same* closure (shape) feeds
-/// both `Universe::run` and `Fleet::submit`.
-fn storm_program(
-    p: usize,
-    per: usize,
-    logs: LogStore,
-) -> impl Fn(mpisim::ProcEnv) -> String + Send + Sync + 'static {
-    move |env| {
-        let w = &env.world;
-        let r = w.rank();
-        let body = || -> mpisim::Result<u64> {
-            for i in 0..per {
-                for (k, off) in FANOUT_OFFSETS.iter().enumerate() {
-                    let dst = (r + off) % p;
-                    w.send(&[(r * 1000 + i * 10 + k) as u64], dst, tag_of(k))?;
-                }
+/// One rank of the storm program, owning everything it touches, so the
+/// *same* body feeds both `Universe::run_poll` and `Fleet::submit`.
+async fn storm_rank(env: mpisim::ProcEnv, p: usize, per: usize, logs: LogStore) -> String {
+    let w = &env.world;
+    let r = w.rank();
+    let body = async {
+        for i in 0..per {
+            for (k, off) in FANOUT_OFFSETS.iter().enumerate() {
+                let dst = (r + off) % p;
+                w.send(&[(r * 1000 + i * 10 + k) as u64], dst, tag_of(k))?;
             }
-            let coll = nbcoll::iallreduce(w, &[r as u64 + 1], 300, ops::sum::<u64>())?;
-            for t in 0..3u64 {
-                let n = per
-                    * (0..FANOUT_OFFSETS.len())
-                        .filter(|&k| tag_of(k) == t)
-                        .count();
-                for _ in 0..n {
-                    let (v, st) = w.recv::<u64>(Src::Any, t)?;
-                    logs.lock().unwrap()[r].push((st.source, t, v[0]));
-                }
-            }
-            Ok(coll.wait_result()?[0])
-        };
-        match body() {
-            Ok(sum) => format!("ok:{sum}"),
-            Err(e) => format!("{e}"),
         }
+        let coll = nbcoll::iallreduce(w, &[r as u64 + 1], 300, ops::sum::<u64>())?;
+        for t in 0..3u64 {
+            let n = per
+                * (0..FANOUT_OFFSETS.len())
+                    .filter(|&k| tag_of(k) == t)
+                    .count();
+            for _ in 0..n {
+                let (v, st) = recv_async::<u64, _>(w, Src::Any, t).await?;
+                logs.lock().unwrap()[r].push((st.source, t, v[0]));
+            }
+        }
+        mpisim::Result::Ok(coll.wait_result_async().await?[0])
+    };
+    match body.await {
+        Ok(sum) => format!("ok:{sum}"),
+        Err(e) => format!("{e}"),
     }
 }
 
@@ -104,8 +98,10 @@ fn observe(res: SimResult<String>, logs: LogStore) -> UniObservation {
 /// The oracle: the scenario run solo at 1 worker.
 fn solo_observation(sc: &Scenario) -> UniObservation {
     let logs: LogStore = Arc::new(Mutex::new(vec![Vec::new(); sc.p]));
-    let program = storm_program(sc.p, sc.per, Arc::clone(&logs));
-    let res = Universe::run(sc.p, scenario_cfg(sc, 1), program);
+    let (p, per, logs2) = (sc.p, sc.per, Arc::clone(&logs));
+    let res = Universe::run_poll(p, scenario_cfg(sc, 1), move |env| {
+        storm_rank(env, p, per, Arc::clone(&logs2))
+    });
     observe(res, logs)
 }
 
@@ -123,10 +119,12 @@ fn fleet_observations(
     for &i in order {
         let sc = &scenarios[i];
         let logs: LogStore = Arc::new(Mutex::new(vec![Vec::new(); sc.p]));
-        let program = storm_program(sc.p, sc.per, Arc::clone(&logs));
+        let (p, per, logs2) = (sc.p, sc.per, Arc::clone(&logs));
         // `coop_workers` in the config is irrelevant here: the fleet's
         // own pool size applies (and must not matter for output).
-        handles[i] = Some(fleet.submit(sc.p, scenario_cfg(sc, 1), program));
+        handles[i] = Some(fleet.submit(p, scenario_cfg(sc, 1), move |env| {
+            storm_rank(env, p, per, Arc::clone(&logs2))
+        }));
         stores[i] = Some(logs);
     }
     handles
@@ -251,13 +249,13 @@ fn window_of_one_serializes_without_divergence() {
 #[test]
 fn rank_panic_resumes_at_join_only() {
     let fleet = Fleet::new(2, 2);
-    let bad = fleet.submit(4, SimConfig::cooperative(), |env| {
+    let bad = fleet.submit(4, SimConfig::cooperative(), |env| async move {
         if env.rank() == 2 {
             panic!("boom in fleet");
         }
         env.rank()
     });
-    let good = fleet.submit(4, SimConfig::cooperative(), |env| env.rank());
+    let good = fleet.submit(4, SimConfig::cooperative(), |env| async move { env.rank() });
     let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| bad.join()))
         .expect_err("panic must propagate through join");
     let msg = err

@@ -7,13 +7,13 @@
 //! on must not change anything a program can observe — results, virtual
 //! clocks, traffic, or the deterministic model counters.
 
-use mpisim::{obs, CommitAlgo, FaultPlan, SimConfig, Src, Time, Transport, Universe};
+use mpisim::{obs, recv_async, CommitAlgo, FaultPlan, SimConfig, Src, Time, Transport, Universe};
 use proptest::prelude::*;
 
 /// A trace-rich workload: a phase marker, a p2p ring exchange, and three
 /// collectives (allreduce nests a reduce + bcast span), under message
 /// jitter so fault events appear in the trace too.
-fn traced_workload(env: &mpisim::ProcEnv, rounds: usize) -> u64 {
+async fn traced_workload(env: mpisim::ProcEnv, rounds: usize) -> u64 {
     let w = &env.world;
     let (r, p) = (w.rank(), w.size());
     let mut acc = 0u64;
@@ -21,13 +21,13 @@ fn traced_workload(env: &mpisim::ProcEnv, rounds: usize) -> u64 {
         obs::mark(w.proc_state(), || format!("round {round}"));
         w.send(&[(r * 100 + round) as u64], (r + 1) % p, round as u64)
             .unwrap();
-        let (v, _) = w
-            .recv::<u64>(Src::Rank((r + p - 1) % p), round as u64)
+        let (v, _) = recv_async::<u64, _>(w, Src::Rank((r + p - 1) % p), round as u64)
+            .await
             .unwrap();
         acc += v[0];
-        acc += w.allreduce(&[r as u64], |a, b| a + b).unwrap()[0];
-        acc += w.scan(&[1u64], |a, b| a + b).unwrap()[0];
-        w.barrier().unwrap();
+        acc += w.allreduce_async(&[r as u64], |a, b| a + b).await.unwrap()[0];
+        acc += w.scan_async(&[1u64], |a, b| a + b).await.unwrap()[0];
+        w.barrier_async().await.unwrap();
     }
     acc
 }
@@ -49,7 +49,7 @@ fn traced_run(
                 .with_jitter(Time::from_micros(3)),
         )
         .with_trace(true);
-    let res = Universe::run(p, cfg, move |env| traced_workload(&env, rounds));
+    let res = Universe::run_poll(p, cfg, move |env| traced_workload(env, rounds));
     let text = res.trace.expect("tracing was requested").to_text();
     (res.per_rank, res.clocks, text)
 }
@@ -94,7 +94,7 @@ fn tracing_has_zero_observer_effect() {
             .with_seed(11)
             .with_workers(4)
             .with_trace(trace);
-        Universe::run(16, cfg, move |env| traced_workload(&env, 2))
+        Universe::run_poll(16, cfg, move |env| traced_workload(env, 2))
     };
     let off = run(false);
     let on = run(true);
@@ -144,7 +144,7 @@ fn trace_text_covers_all_event_families() {
 fn chrome_export_is_structurally_valid() {
     let p = 8;
     let cfg = SimConfig::cooperative().with_seed(5).with_trace(true);
-    let res = Universe::run(p, cfg, move |env| traced_workload(&env, 1));
+    let res = Universe::run_poll(p, cfg, move |env| traced_workload(env, 1));
     let trace = res.trace.unwrap();
     let json = trace.to_chrome_json();
     assert!(json.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));

@@ -1,186 +1,9 @@
-//! Poll-backend semantics: `Backend::Poll` drives every rank as a
-//! stackless future through the same epoch scheduler as the fiber
-//! backend, so a run's **entire observable output** — per-rank results,
-//! wildcard delivery order, virtual clocks, traffic, deterministic
-//! metrics, and the event trace — must be byte-identical to
-//! `Backend::Cooperative` at every `(program, seed, p)` both can run.
-//! That identity is what lets the large-p figure switch backends above
-//! the fiber ceiling without a validation gap (DESIGN.md §12).
+//! Poll-backend guard rails: the cooperative scheduler runs only async
+//! rank bodies (`Universe::run_poll`), so the synchronous entry point must
+//! reject `Backend::Poll` loudly instead of wedging a worker thread.
 
-use mpisim::{block_inline, coll, nbcoll, ops, Backend, SimConfig, Src, Transport, Universe};
-use proptest::prelude::*;
+use mpisim::{Backend, SimConfig, Universe};
 
-/// What one rank observed: wildcard delivery log of the storm phase plus
-/// the value-level results of the collective / communicator phases.
-type RankLog = (Vec<(usize, u64)>, Vec<u64>);
-
-/// The shared maybe-async rank program: an all-to-all storm drained
-/// through wildcard receives (delivery *order* is schedule-sensitive, so
-/// it detects any divergence in epoch structure), then the
-/// round-structured workloads the tentpole names — collectives, a
-/// nonblocking waitall, `Comm::split`'s distributed sort, and
-/// `create_group`.
-async fn rank_program(env: mpisim::ProcEnv, per: usize) -> RankLog {
-    let w = env.world.clone();
-    let p = w.size();
-    let r = w.rank();
-
-    // Storm: every rank sends `per` tagged messages to every other rank.
-    for i in 0..per {
-        for dst in 0..p {
-            if dst != r {
-                w.send(&[(r * 1000 + i) as u64], dst, 7).unwrap();
-            }
-        }
-    }
-    let mut deliveries = Vec::new();
-    for _ in 0..(p - 1) * per {
-        let (v, st) = mpisim::recv_async::<u64, _>(&w, Src::Any, 7).await.unwrap();
-        deliveries.push((st.source, v[0]));
-    }
-
-    // Collectives (vendor-scaled, through the Comm async twins).
-    let mut vals = Vec::new();
-    vals.push(
-        w.allreduce_async(&[r as u64 + 1], ops::sum::<u64>())
-            .await
-            .unwrap()[0],
-    );
-    vals.push(w.scan_async(&[1u64], ops::sum::<u64>()).await.unwrap()[0]);
-    let mut b = if r == 0 { vec![41u64, 42] } else { Vec::new() };
-    w.bcast_async(&mut b, 0).await.unwrap();
-    vals.extend_from_slice(&b);
-
-    // Raw coll cores over the unscaled transport.
-    vals.push(
-        coll::exscan_async(&w, &[r as u64], 300, ops::sum::<u64>())
-            .await
-            .unwrap()
-            .map_or(u64::MAX, |v| v[0]),
-    );
-    coll::barrier_async(&w, 310).await.unwrap();
-
-    // Nonblocking machines polled through the maybe-async yield.
-    let mut reqs = vec![nbcoll::Request::new(
-        nbcoll::iallreduce(&w, &[r as u64], 320, ops::max::<u64>()).unwrap(),
-    )];
-    nbcoll::waitall_async(&mut reqs).await.unwrap();
-
-    // Distributed-sort split and create_group (context agreement).
-    let sub = w.split_async((r % 3) as u64, r as u64).await.unwrap();
-    vals.push(
-        sub.allreduce_async(&[1u64], ops::sum::<u64>())
-            .await
-            .unwrap()[0],
-    );
-    let half = mpisim::Group::range(0, 1, p.div_ceil(2));
-    if r < p.div_ceil(2) {
-        let g = w.create_group_async(&half, 77).await.unwrap();
-        vals.push(
-            g.allreduce_async(&[r as u64], ops::sum::<u64>())
-                .await
-                .unwrap()[0],
-        );
-    } else {
-        vals.push(0);
-    }
-    (deliveries, vals)
-}
-
-/// Full observable output of one run under `backend`.
-fn observe(
-    p: usize,
-    per: usize,
-    seed: u64,
-    workers: usize,
-    backend: Backend,
-) -> (
-    Vec<RankLog>,
-    Vec<mpisim::Time>,
-    mpisim::proc::Traffic,
-    mpisim::MetricsSnapshot,
-    String,
-) {
-    let cfg = SimConfig::cooperative()
-        .with_seed(seed)
-        .with_workers(workers)
-        .with_backend(backend)
-        .with_trace(true);
-    let res = match backend {
-        Backend::Poll => Universe::run_poll(p, cfg, move |env| rank_program(env, per)),
-        _ => Universe::run(p, cfg, move |env| block_inline(rank_program(env, per))),
-    };
-    let trace = res.trace.as_ref().map(|t| t.to_text()).unwrap_or_default();
-    (res.per_rank, res.clocks, res.traffic, res.metrics, trace)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
-
-    // The tentpole identity: poll output is byte-identical to fiber
-    // output for any (p, seed, worker count) — same delivery order, same
-    // clocks, same traffic and metrics counters, same trace text.
-    #[test]
-    fn poll_matches_fiber_exactly(
-        p in 2usize..12,
-        per in 1usize..4,
-        seed in any::<u64>(),
-        workers in 1usize..=4,
-    ) {
-        let fiber = observe(p, per, seed, workers, Backend::Cooperative);
-        let poll = observe(p, per, seed, workers, Backend::Poll);
-        prop_assert_eq!(fiber, poll);
-    }
-}
-
-// The acceptance ladder: byte-identity at every power of two both
-// backends can run. Debug builds stop at 2^12 (the storm is O(p²));
-// release runs the full fiber range 2^10..2^15 with a lighter program.
-#[test]
-fn poll_matches_fiber_on_pow2_ladder() {
-    let exps: std::ops::RangeInclusive<u32> = if cfg!(debug_assertions) {
-        10..=12
-    } else {
-        10..=15
-    };
-    for exp in exps {
-        let p = 1usize << exp;
-        let run = |backend: Backend| {
-            let cfg = SimConfig::cooperative()
-                .with_seed(42)
-                .with_workers(4)
-                .with_backend(backend);
-            let body = |env: mpisim::ProcEnv| async move {
-                let w = env.world.clone();
-                let r = w.rank() as u64;
-                let s = w
-                    .allreduce_async(&[r + 1], ops::sum::<u64>())
-                    .await
-                    .unwrap()[0];
-                let sub = w.split_async(w.rank() as u64 % 2, r).await.unwrap();
-                let g = sub
-                    .allreduce_async(&[1u64], ops::sum::<u64>())
-                    .await
-                    .unwrap()[0];
-                (s, g)
-            };
-            match backend {
-                Backend::Poll => Universe::run_poll(p, cfg, body),
-                _ => Universe::run(p, cfg, move |env| block_inline(body(env))),
-            }
-        };
-        let fiber = run(Backend::Cooperative);
-        let poll = run(Backend::Poll);
-        assert_eq!(fiber.per_rank, poll.per_rank, "p = 2^{exp}");
-        assert_eq!(fiber.clocks, poll.clocks, "p = 2^{exp}");
-        assert_eq!(fiber.traffic, poll.traffic, "p = 2^{exp}");
-        assert_eq!(fiber.metrics, poll.metrics, "p = 2^{exp}");
-    }
-}
-
-// Guard rails: the sync API must fail loudly inside poll bodies, and the
-// sync entry point must reject the poll backend, so a mixed-up program
-// cannot silently wedge a worker thread.
 #[test]
 fn sync_run_rejects_poll_backend() {
     let err = std::panic::catch_unwind(|| {
@@ -200,17 +23,4 @@ fn sync_run_rejects_poll_backend() {
         msg.contains("run_poll"),
         "panic should point at run_poll: {msg}"
     );
-}
-
-#[test]
-fn run_poll_under_fiber_backend_still_works() {
-    // run_poll with a non-poll backend drives the same async body through
-    // block_inline — a convenience that keeps call sites backend-agnostic.
-    let res = Universe::run_poll(4, SimConfig::cooperative(), |env| async move {
-        env.world
-            .allreduce_async(&[1u64], ops::sum::<u64>())
-            .await
-            .unwrap()[0]
-    });
-    assert_eq!(res.per_rank, vec![4, 4, 4, 4]);
 }

@@ -4,8 +4,9 @@
 //! must produce *identical* `(color → ordered member list)` tables, new
 //! ranks, group sizes, and context IDs as the textbook all-gather split it
 //! replaces — for random colors, random (colliding) keys, and
-//! `MPI_UNDEFINED` ranks, on both the thread and the cooperative backend,
-//! and for any cooperative worker count.
+//! `MPI_UNDEFINED` ranks, on both the thread and the poll backend, and
+//! for any cooperative worker count. Both backends run the same async
+//! program through `Universe::run_poll`.
 
 use proptest::prelude::*;
 
@@ -45,19 +46,24 @@ fn split_tables(
     assign: &[(Option<u64>, u64)],
 ) -> (Vec<SplitView>, Vec<mpisim::Time>) {
     let assign = assign.to_vec();
-    let res = Universe::run(p, cfg, move |env| {
-        let w = &env.world;
-        let (color, key) = assign[w.rank()];
-        w.split_with(color, key).unwrap().map(|c| {
-            (
-                c.rank(),
-                c.size(),
-                format!("{}", c.ctx()),
-                c.group().iter_globals().collect::<Vec<_>>(),
-            )
-        })
+    let res = Universe::run_poll(p, cfg, move |env| {
+        let (color, key) = assign[env.rank()];
+        split_view(env, color, key)
     });
     (res.per_rank, res.clocks)
+}
+
+/// One rank's split: `MPI_Comm_split(color, key)` and what it observes.
+async fn split_view(env: mpisim::ProcEnv, color: Option<u64>, key: u64) -> SplitView {
+    let w = &env.world;
+    w.split_with_async(color, key).await.unwrap().map(|c| {
+        (
+            c.rank(),
+            c.size(),
+            format!("{}", c.ctx()),
+            c.group().iter_globals().collect::<Vec<_>>(),
+        )
+    })
 }
 
 /// Run one assignment under every backend × algorithm combination and
@@ -88,7 +94,7 @@ fn check_case(p: usize, colors_max: u64, seed: u64, backends: &[SimConfig]) {
         }
         // Virtual time of the distributed run is a pure function of the
         // program for cooperative runs at any worker count.
-        if cfg.backend == Backend::Cooperative {
+        if cfg.backend == Backend::Poll {
             let (_, again) = split_tables(p, cfg.clone().with_seed(seed), &assign);
             assert_eq!(dist_clocks, again, "cooperative clocks must be stable");
         }
@@ -99,10 +105,10 @@ fn backends() -> Vec<SimConfig> {
     vec![
         SimConfig::default(),
         SimConfig::default()
-            .with_backend(Backend::Cooperative)
+            .with_backend(Backend::Poll)
             .with_workers(1),
         SimConfig::default()
-            .with_backend(Backend::Cooperative)
+            .with_backend(Backend::Poll)
             .with_workers(4),
     ]
 }

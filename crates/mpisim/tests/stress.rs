@@ -6,7 +6,7 @@ use std::sync::Arc;
 use mpisim::mailbox::Mailbox;
 use mpisim::msg::{ContextId, MatchPattern, Message, SrcFilter};
 use mpisim::nbcoll;
-use mpisim::{coll, ops, CommitAlgo, SimConfig, Src, Time, Transport, Universe};
+use mpisim::{coll, ops, recv_async, CommitAlgo, SimConfig, Src, Time, Transport, Universe};
 
 #[test]
 fn mailbox_concurrent_producers_and_consumer() {
@@ -159,12 +159,12 @@ fn commit_fan_in_all_to_one_4096() {
         let cfg = SimConfig::cooperative()
             .with_commit_algo(algo)
             .with_workers(workers);
-        let res = Universe::run(p, cfg, move |env| {
+        let res = Universe::run_poll(p, cfg, move |env| async move {
             let w = &env.world;
             if w.rank() == 0 {
                 let mut acc = 0xcbf29ce484222325u64;
                 for _ in 0..(p - 1) * per {
-                    let (v, st) = w.recv::<u64>(Src::Any, 9).unwrap();
+                    let (v, st) = recv_async::<u64, _>(w, Src::Any, 9).await.unwrap();
                     acc = fold(acc, (st.source as u64) << 32 | v[0]);
                 }
                 acc
@@ -200,7 +200,7 @@ fn commit_fan_in_leader_gather_4096() {
         let cfg = SimConfig::cooperative()
             .with_commit_algo(algo)
             .with_workers(workers);
-        let res = Universe::run(p, cfg, move |env| {
+        let res = Universe::run_poll(p, cfg, move |env| async move {
             let w = &env.world;
             let r = w.rank();
             let leader = (r / b) * b;
@@ -212,7 +212,7 @@ fn commit_fan_in_leader_gather_4096() {
             // Leader: drain the block's storm in arrival order.
             let mut acc = 0xcbf29ce484222325u64;
             for _ in 0..(b - 1) * 2 {
-                let (v, st) = w.recv::<u64>(Src::Any, 5).unwrap();
+                let (v, st) = recv_async::<u64, _>(w, Src::Any, 5).await.unwrap();
                 acc = fold(acc, (st.source as u64) << 32 | v[0]);
             }
             if r != 0 {
@@ -220,7 +220,7 @@ fn commit_fan_in_leader_gather_4096() {
                 acc
             } else {
                 for _ in 0..(p / b - 1) {
-                    let (v, st) = w.recv::<u64>(Src::Any, 6).unwrap();
+                    let (v, st) = recv_async::<u64, _>(w, Src::Any, 6).await.unwrap();
                     acc = fold(acc, st.source as u64 ^ v[0]);
                 }
                 acc

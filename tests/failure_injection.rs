@@ -5,7 +5,7 @@
 use std::time::Duration;
 
 use mpisim::{
-    nbcoll, ops, Backend, CommitAlgo, FaultPlan, MpiError, RankHealth, SimConfig, Src, Time,
+    nbcoll, ops, recv_async, CommitAlgo, FaultPlan, MpiError, RankHealth, SimConfig, Src, Time,
     Transport, Universe,
 };
 use rbc::RbcComm;
@@ -136,9 +136,8 @@ fn nonblocking_wait_times_out_rather_than_spinning_forever() {
 /// After an all-reduce, rank 0 of a 4-rank async program waits
 /// (`Request::wait_async`) on a receive rank 1 never sends. Returns rank
 /// 0's error: its full text (blame included) and the blamed ranks.
-fn wedged_wait_error(backend: Backend, workers: usize, timeout: Duration) -> (String, Vec<usize>) {
+fn wedged_wait_error(workers: usize, timeout: Duration) -> (String, Vec<usize>) {
     let cfg = SimConfig::cooperative()
-        .with_backend(backend)
         .with_workers(workers)
         .with_timeout(timeout);
     let res = Universe::run_poll(4, cfg, |env| async move {
@@ -163,23 +162,20 @@ fn wedged_async_wait_fails_through_the_exact_deadlock_detector() {
     // The wait parks until an arrival that never comes; once every other
     // rank has finished, the scheduler's deadlock detector poisons it and
     // the next poll fails. No wall clock is involved: the same error
-    // comes back at any worker count, on poll and fiber bodies alike, and
-    // with a one-hour receive timeout.
-    let (text, blamed) = wedged_wait_error(Backend::Poll, 1, Duration::from_secs(30));
+    // comes back at any worker count and with a one-hour receive timeout.
+    let (text, blamed) = wedged_wait_error(1, Duration::from_secs(30));
     assert!(
         text.contains("tag=3") && text.contains("cooperative stall"),
         "got: {text}"
     );
     assert_eq!(blamed, vec![1], "blame must name the silent sender");
-    for backend in [Backend::Poll, Backend::Cooperative] {
-        for workers in [1usize, 4] {
-            for timeout in [Duration::from_secs(30), Duration::from_secs(3600)] {
-                assert_eq!(
-                    wedged_wait_error(backend, workers, timeout),
-                    (text.clone(), blamed.clone()),
-                    "{backend:?}, {workers} worker(s), timeout {timeout:?}"
-                );
-            }
+    for workers in [1usize, 4] {
+        for timeout in [Duration::from_secs(30), Duration::from_secs(3600)] {
+            assert_eq!(
+                wedged_wait_error(workers, timeout),
+                (text.clone(), blamed.clone()),
+                "{workers} worker(s), timeout {timeout:?}"
+            );
         }
     }
 }
@@ -190,10 +186,11 @@ fn coop_deadlock_diagnostics(algo: CommitAlgo, workers: usize) -> Vec<Option<(us
     let cfg = SimConfig::cooperative()
         .with_commit_algo(algo)
         .with_workers(workers);
-    Universe::run(4, cfg, |env| {
+    Universe::run_poll(4, cfg, |env| async move {
         let w = &env.world;
         let from = (w.rank() + 1) % 4;
-        w.recv::<u64>(Src::Rank(from), 42).err().map(|e| match e {
+        let got = recv_async::<u64, _>(w, Src::Rank(from), 42).await;
+        got.err().map(|e| match e {
             MpiError::Timeout {
                 rank, waited_for, ..
             } => (rank, waited_for),
@@ -231,12 +228,16 @@ fn coop_deadlock_diagnostics_exact_under_sharded_commit() {
 /// Every rank — the victim itself *and* the transitively stalled peers
 /// (whose receive pattern points at a live-but-stuck neighbour) — must
 /// blame exactly the crashed rank, thanks to the crash-priority rule.
+/// The async body runs on the poll scheduler or, under `cfg`'s thread
+/// backend, on rank threads.
 fn crash_mid_iallreduce_blame(cfg: SimConfig) -> Vec<Option<(usize, Vec<usize>, bool)>> {
     let cfg = cfg.with_faults(FaultPlan::default().with_crash(2, Time::ZERO));
-    Universe::run(4, cfg, |env| {
+    Universe::run_poll(4, cfg, |env| async move {
         let w = &env.world;
-        let r = nbcoll::iallreduce(w, &[w.rank() as u64 + 1], 500, ops::sum::<u64>())
-            .and_then(|sm| sm.wait_result());
+        let r = match nbcoll::iallreduce(w, &[w.rank() as u64 + 1], 500, ops::sum::<u64>()) {
+            Ok(sm) => sm.wait_result_async().await,
+            Err(e) => Err(e),
+        };
         r.err().map(|e| match e {
             MpiError::Timeout { rank, blame, .. } => {
                 let all_crashed = !blame.waiting_on.is_empty()
@@ -263,9 +264,9 @@ fn crash_mid_iallreduce_blames_exactly_the_crashed_rank_threaded() {
 
 #[test]
 fn crash_mid_iallreduce_blames_exactly_the_crashed_rank_coop() {
-    // The cooperative stagnation detector poisons the stalled ranks long
-    // before any wall clock fires; diagnostics must be identical for
-    // every worker count and commit algorithm.
+    // The cooperative scheduler poisons the stalled ranks long before any
+    // wall clock fires; diagnostics must be identical for every worker
+    // count and commit algorithm.
     let oracle = crash_mid_iallreduce_blame(
         SimConfig::cooperative()
             .with_workers(1)
@@ -288,21 +289,22 @@ fn crash_mid_iallreduce_blames_exactly_the_crashed_rank_coop() {
 
 /// Crash a rank mid-JQuick (50µs in — a few recursion messages deep at
 /// α = 10µs) and require every failing rank's blame to name exactly the
-/// victim, on both backends.
+/// victim, on both backends (one async body, as for the iallreduce case).
 fn crash_mid_jquick_blame(cfg: SimConfig, victim: usize) -> Vec<Option<(Vec<usize>, bool)>> {
     let cfg = cfg.with_faults(FaultPlan::default().with_crash(victim, Time::from_micros(50)));
     let p = 8u64;
     let n = 64 * p;
-    Universe::run(p as usize, cfg, move |env| {
+    Universe::run_poll(p as usize, cfg, move |env| async move {
         let w = &env.world;
         let data: Vec<u64> = (0..64).map(|i| (w.rank() as u64 + 1) * 1000 + i).collect();
-        let r = jquick::jquick_sort(
+        let r = jquick::jquick_sort_async(
             &jquick::RbcBackend,
             w,
             data,
             n,
             &jquick::JQuickConfig::default(),
-        );
+        )
+        .await;
         r.err().map(|e| match e {
             MpiError::Timeout { blame, .. } => {
                 let all_crashed = !blame.waiting_on.is_empty()
@@ -364,15 +366,16 @@ fn coop_timeout_after_real_traffic_identical_under_sharded_commit() {
         let cfg = SimConfig::cooperative()
             .with_commit_algo(algo)
             .with_workers(workers);
-        Universe::run(8, cfg, |env| {
+        Universe::run_poll(8, cfg, |env| async move {
             let w = &env.world;
             let next = (w.rank() + 1) % 8;
             let prev = (w.rank() + 7) % 8;
             w.send(&[w.rank() as u64], next, 1).unwrap();
-            let (v, _) = w.recv::<u64>(Src::Rank(prev), 1).unwrap();
+            let (v, _) = recv_async::<u64, _>(w, Src::Rank(prev), 1).await.unwrap();
             assert_eq!(v[0] as usize, prev);
             if w.rank() < 2 {
-                w.recv::<u64>(Src::Any, 99).err().map(|e| match e {
+                let got = recv_async::<u64, _>(w, Src::Any, 99).await;
+                got.err().map(|e| match e {
                     MpiError::Timeout {
                         rank,
                         waited_for,
