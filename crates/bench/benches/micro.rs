@@ -176,14 +176,11 @@ fn bench_exchange_encoding(c: &mut Criterion) {
 /// uses. The storm repeats for several rounds inside one universe so the
 /// epoch commit (the ordering step under measurement) amortises the
 /// universe setup out of the numbers.
-fn commit_storm(p: usize, per: usize, algo: mpisim::SortAlgo) -> mpisim::Time {
+fn commit_storm(p: usize, per: usize) -> mpisim::Time {
     use mpisim::{recv_async, SimConfig, Src, Transport, Universe};
     const OFFSETS: [usize; 4] = [1, 4, 9, 16];
     const ROUNDS: usize = 4;
-    let cfg = SimConfig::cooperative()
-        .with_seed(7)
-        .with_workers(4)
-        .with_sort_algo(algo);
+    let cfg = SimConfig::cooperative().with_seed(7).with_workers(4);
     let res = Universe::run_poll(p, cfg, |env| async move {
         let w = &env.world;
         let r = w.rank();
@@ -215,20 +212,18 @@ fn commit_storm(p: usize, per: usize, algo: mpisim::SortAlgo) -> mpisim::Time {
 }
 
 fn bench_commit_sort(c: &mut Criterion) {
-    use mpisim::SortAlgo;
     let mut g = c.benchmark_group("commit_sort");
     // (ranks, steps): m = p·per·4 staged messages per epoch wave, across
     // p tasks — small/medium/wide shapes. The 8192-message epochs cross
     // the publish threshold and exercise the parallel chunked merge
     // round; the smaller ones merge inline on the finishing worker.
+    // The `merge` id names the commit ordering the scheduler runs.
     for &(p, per) in &[(64usize, 2usize), (64, 8), (64, 32), (256, 8)] {
-        for (name, algo) in [("merge", SortAlgo::Merge), ("sort", SortAlgo::Sort)] {
-            g.bench_with_input(
-                BenchmarkId::new(name, format!("p{p}x{per}")),
-                &(p, per),
-                |b, &(p, per)| b.iter(|| commit_storm(black_box(p), black_box(per), algo)),
-            );
-        }
+        g.bench_with_input(
+            BenchmarkId::new("merge", format!("p{p}x{per}")),
+            &(p, per),
+            |b, &(p, per)| b.iter(|| commit_storm(black_box(p), black_box(per))),
+        );
     }
     g.finish();
 }

@@ -5,17 +5,19 @@
 //!
 //! The cases are a seeded proptest stream (the vendored shim's
 //! deterministic `Sampler`), drawn over `Dist::ALL` × p ∈ [2, 64] ×
-//! n/p ∈ [1, 64] × seed. JQuick runs as a `Backend::Poll` rank body. As a
-//! contrast that proves the balance assertion can fail, single-level
-//! sample sort sorts the same inputs on the same backend, and at least
-//! one generated case must leave it imbalanced.
+//! n/p ∈ [1, 64] × seed. JQuick runs as a `Backend::Poll` rank body. As
+//! contrasts that prove the balance assertion can fail, single-level and
+//! multi-level sample sort sort the same inputs on the same backend, and
+//! at least one generated case must leave each of them imbalanced.
 
 use jquick::{
-    fingerprint, imbalance_factor_async, jquick_sort_async, sample_sort_async, verify_sorted_async,
-    workloads, Dist, JQuickConfig, Layout, RbcBackend, SampleSortCfg,
+    fingerprint, imbalance_factor_async, jquick_sort_async, multilevel_sample_sort_async,
+    sample_sort_async, verify_sorted_async, workloads, Dist, JQuickConfig, Layout, MultiLevelCfg,
+    RbcBackend, SampleSortCfg,
 };
 use mpisim::{SimConfig, Transport, Universe};
 use proptest::prelude::*;
+use rbc::RbcComm;
 
 const CASES: u32 = 96;
 
@@ -41,9 +43,18 @@ fn jquick_case(p: usize, n: u64, dist: Dist, seed: u64) -> Vec<(f64, bool)> {
     res.per_rank
 }
 
-/// Sample sort on the same input under the poll backend: rank 0's
+/// The sample sorts JQuick is contrasted with.
+#[derive(Clone, Copy, Debug)]
+enum Contrast {
+    /// Single-level sample sort ([`sample_sort_async`]).
+    SingleLevel,
+    /// Multi-level sample sort over RBC ([`multilevel_sample_sort_async`]).
+    MultiLevel,
+}
+
+/// A contrast sort on the same input under the poll backend: rank 0's
 /// imbalance factor, after checking the output is a sorted permutation.
-fn samplesort_imbalance(p: usize, n: u64, dist: Dist, seed: u64) -> f64 {
+fn contrast_imbalance(sorter: Contrast, p: usize, n: u64, dist: Dist, seed: u64) -> f64 {
     let cfg = SimConfig::cooperative()
         .with_backend(mpisim::Backend::Poll)
         .with_seed(seed);
@@ -52,11 +63,23 @@ fn samplesort_imbalance(p: usize, n: u64, dist: Dist, seed: u64) -> f64 {
         let layout = Layout::new(n, p as u64);
         let data = workloads::generate(&layout, w.rank() as u64, seed, dist);
         let fp = fingerprint(&data);
-        let out = sample_sort_async(w, data, &SampleSortCfg::default())
-            .await
-            .unwrap();
+        let out = match sorter {
+            Contrast::SingleLevel => sample_sort_async(w, data, &SampleSortCfg::default())
+                .await
+                .unwrap(),
+            Contrast::MultiLevel => {
+                let world = RbcComm::create(w);
+                multilevel_sample_sort_async(&world, data, &MultiLevelCfg::default())
+                    .await
+                    .unwrap()
+                    .0
+            }
+        };
         let report = verify_sorted_async(w, &out, fp, out.len()).await.unwrap();
-        assert!(report.all_ok(), "sample sort must still sort: {report:?}");
+        assert!(
+            report.all_ok(),
+            "{sorter:?} sample sort must still sort: {report:?}"
+        );
         imbalance_factor_async(w, out.len()).await.unwrap()
     });
     res.per_rank[0]
@@ -64,7 +87,8 @@ fn samplesort_imbalance(p: usize, n: u64, dist: Dist, seed: u64) -> f64 {
 
 #[test]
 fn jquick_is_perfectly_balanced_where_sample_sort_is_not() {
-    let mut contrast = None;
+    let sorters = [Contrast::SingleLevel, Contrast::MultiLevel];
+    let mut contrast: [Option<String>; 2] = [None, None];
     for case in 0..CASES {
         let mut s = Sampler::for_case("jquick_perfect_balance", case);
         let dist = Dist::ALL[(0..Dist::ALL.len()).sample(&mut s)];
@@ -81,11 +105,15 @@ fn jquick_is_perfectly_balanced_where_sample_sort_is_not() {
             );
             assert_eq!(imbalance, 1.0, "{what}: JQuick max/avg on rank {rank}");
         }
-        let sample = samplesort_imbalance(p, n, dist, seed);
-        if sample > 1.0 && contrast.is_none() {
-            contrast = Some(format!("{what}: sample sort max/avg = {sample}"));
+        for (sorter, found) in sorters.iter().zip(&mut contrast) {
+            let imbalance = contrast_imbalance(*sorter, p, n, dist, seed);
+            if imbalance > 1.0 && found.is_none() {
+                *found = Some(format!("{what}: {sorter:?} max/avg = {imbalance}"));
+            }
         }
     }
-    let contrast = contrast.expect("no generated case left sample sort imbalanced");
-    eprintln!("contrast: {contrast}");
+    for (sorter, found) in sorters.iter().zip(contrast) {
+        let found = found.unwrap_or_else(|| panic!("no generated case left {sorter:?} imbalanced"));
+        eprintln!("contrast: {found}");
+    }
 }

@@ -4,8 +4,8 @@
 //! balance where samplesort and multilevel degrade — but a simulator that
 //! only ever runs clean schedules cannot exercise that claim. This module
 //! injects three hostile-condition fault classes, all **pure functions of
-//! `(program, seed, perturbation seed)`** — never of the worker count or
-//! commit algorithm, so the cooperative scheduler's bit-identical
+//! `(program, seed, perturbation seed)`** — never of the worker count,
+//! so the cooperative scheduler's bit-identical
 //! any-worker-count determinism (DESIGN.md §5/§7) is fully preserved:
 //!
 //! * **Slowdown distributions** ([`SlowdownSpec`]): each rank draws a
@@ -100,7 +100,7 @@ impl FaultPlan {
 
     /// Build a plan from the `MPISIM_FAULT_*` environment knobs (see the
     /// parsers below). Unset knobs leave their field at the default;
-    /// malformed values **panic** — exactly like `MPISIM_COOP_COMMIT`, a
+    /// malformed values **panic** — exactly like `MPISIM_BACKEND`, a
     /// mistyped fault sweep silently running fault-free would make every
     /// faulted-vs-clean diff vacuously green.
     pub fn from_env() -> FaultPlan {
@@ -242,7 +242,7 @@ impl FaultState {
 
     /// Arrival jitter (in nanoseconds) for the `seq`-th message rank
     /// `src` ever sends: a pure hash of `(perturb_seed, src, seq)`, so it
-    /// is identical for every worker count and commit algorithm.
+    /// is identical for every worker count.
     #[inline]
     pub fn jitter_ns(&self, src: usize, seq: u64) -> u64 {
         if self.jitter_max_ns == 0 {

@@ -210,9 +210,10 @@ impl Mailbox {
     /// subscription order, then the armed arrival slot, if any) and
     /// insert the message. Both push flavours go
     /// through this single helper so their matching semantics can never
-    /// drift apart — the sharded commit's serial-oracle equivalence
-    /// (DESIGN.md §7) depends on [`Mailbox::push`] and
-    /// [`Mailbox::push_batch`] agreeing exactly.
+    /// drift apart — the thread backend delivers through
+    /// [`Mailbox::push`] and the epoch commit through
+    /// [`Mailbox::push_batch`] (DESIGN.md §7), and both must match
+    /// exactly as a one-message-at-a-time push in key order would.
     #[inline]
     fn deposit(g: &mut Inner, idx: usize, m: Message, fired: &mut Vec<(usize, Arc<dyn Wake>)>) {
         g.scans += g.waiters.len() as u64;

@@ -138,59 +138,6 @@ pub enum SplitAlgo {
     Allgather,
 }
 
-/// Which algorithm the cooperative scheduler's epoch **commit** uses to
-/// deliver an epoch's staged messages (see [`crate::sched`] and DESIGN.md
-/// §7).
-///
-/// This is a *simulator* knob, not a simulated-MPI one: both variants
-/// produce bit-identical simulations (delivery orders, clocks, figure
-/// CSVs) for every worker count, exactly like [`SplitAlgo`] keeps the
-/// all-gather split as the oracle for the distributed sort. The commit
-/// itself costs no virtual time — it is the mechanism that realises the
-/// α–β model's arrival order, so only its wall-clock cost differs. The
-/// same worker-count invariance is what lets a fleet co-schedule
-/// universes over one pool (pinning each universe's shard and merge
-/// thresholds to the pool size) without perturbing any universe's
-/// output — see DESIGN.md §11.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum CommitAlgo {
-    /// Destination-major commit: after the global sort the entry run is
-    /// partitioned into per-destination-rank segments and idle workers
-    /// claim segments lock-free, pushing into disjoint mailboxes in
-    /// parallel. Wake-ups are deferred and merged in global
-    /// `(matchable_time, sender, seq)` order after the push barrier, so
-    /// the next round's order stays a pure function of `(program, seed)`.
-    #[default]
-    Sharded,
-    /// The original single-threaded commit: one worker pushes every
-    /// staged message in global `(matchable_time, sender, seq)` order.
-    /// Kept as the correctness oracle for the sharded variant.
-    Serial,
-}
-
-/// Which algorithm the cooperative scheduler uses to put an epoch's staged
-/// messages into commit order (see [`crate::sched`] and DESIGN.md §10).
-///
-/// Like [`CommitAlgo`], this is a *simulator* knob, not a simulated-MPI
-/// one: both variants produce bit-identical simulations (delivery orders,
-/// clocks, traces, figure CSVs) for every worker count and commit
-/// algorithm. Per-task staging buffers are already sorted by construction,
-/// so ordering the epoch is a merge problem; the global sort is kept as
-/// the correctness oracle for the merge.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum SortAlgo {
-    /// Parallel k-way merge: workers claim pre-sorted per-task runs from a
-    /// `Merge` work phase (the same generation-tagged lock-free cursor as
-    /// the task and commit phases) and merge them pairwise/tournament
-    /// style; no Θ(m log m) single-worker stretch and no sort scratch
-    /// allocation.
-    #[default]
-    Merge,
-    /// The original single-worker commit sort (`sort_by_key` over the
-    /// whole staged run). Kept as the correctness oracle for the merge.
-    Sort,
-}
-
 /// An MPI implementation personality.
 #[derive(Clone, Debug)]
 pub struct VendorProfile {

@@ -9,12 +9,11 @@
 //!   [`TraceEvent`]s — op spans, send/deliver edges, phase markers, fault
 //!   injections, blame emissions — to its **own** per-rank buffer, stamped
 //!   with its virtual clock. Because each rank's body runs serially with
-//!   bit-identical inputs for every worker count and commit algorithm
-//!   (DESIGN.md §5/§7), each per-rank stream is worker-invariant; the
+//!   bit-identical inputs for every worker count (DESIGN.md §5/§7), each per-rank stream is worker-invariant; the
 //!   global trace merges them in `(time, rank, seq)` order — the same key
 //!   family the epoch commit sorts sends by — so the merged trace is a
 //!   pure function of `(program, seed, fault seed)` and **byte-identical**
-//!   across `coop_workers` and `CommitAlgo`. Appending never touches a
+//!   across `coop_workers`. Appending never touches a
 //!   clock, an RNG, or a counter the model reads: observer effect = 0.
 //! * **Model metrics** ([`MetricsSnapshot`], always on): message/byte
 //!   totals, per-[`OpClass`] volumes, mailbox scan work, epochs, wake-ups,
@@ -221,7 +220,7 @@ impl Trace {
 
     /// Canonical text rendering: one line per event, integer-nanosecond
     /// timestamps, no floats. This is the representation CI byte-diffs
-    /// across worker counts and commit algorithms.
+    /// across worker counts.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         for r in &self.events {
@@ -455,7 +454,7 @@ impl ClassCell {
 
 /// The deterministic model-metric snapshot of a run. Every field is a
 /// pure function of `(program, seed, fault seed)` — identical for every
-/// worker count and commit algorithm — so CI compares these at **exact
+/// worker count — so CI compares these at **exact
 /// equality** (`bench_gate` zero-tolerance `count` metrics).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {

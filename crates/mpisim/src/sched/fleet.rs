@@ -318,9 +318,6 @@ where
     let sched = Scheduler::new(
         p,
         Arc::clone(&router),
-        cfg.commit_algo,
-        cfg.sort_algo,
-        cfg.coop_commit_shards,
         cfg.sched_profile,
         Arc::clone(&inner.pools),
         Some(Arc::clone(&inner.signal)),

@@ -42,49 +42,41 @@
 //!    tasks are deadlocked (sends never block) — they are *poisoned* and
 //!    woken to return [`MpiError::Timeout`].
 //!
-//! Step 2 runs under one of two algorithms
-//! ([`CommitAlgo`]):
+//! Step 2 is one pipeline (DESIGN.md §7 and §10). Each task's staged
+//! run is already sorted by the global key **by construction** (the
+//! key's time component is a running max and `seq` increases along
+//! program order), so ordering the epoch is a merge problem, not a sort:
 //!
-//! * **Serial** (the oracle): the committing worker sorts the staged run
-//!   by the global key and pushes every message itself, waking receivers
-//!   as it goes.
-//! * **Sharded** (the default): the run is sorted *destination-major* —
-//!   `(dest, matchable_time, sender, seq)` — so each destination rank's
-//!   messages form one contiguous segment whose internal order is exactly
-//!   the serial commit's per-mailbox subsequence. Segments are grouped
-//!   into shards (never splitting a segment) and **all idle workers claim
-//!   shards lock-free** through the same epoch-tagged cursor used for
-//!   round claiming, batch-pushing into disjoint mailboxes with zero
-//!   cross-shard contention. Wake-ups are *deferred*: each shard records
-//!   `(global key of the triggering message, waker)` pairs, and after the
-//!   push barrier the finishing worker merges them in global key order —
-//!   reproducing the serial wake order bit for bit. See DESIGN.md §7.
+//! * **Order destination-major.** The epoch's messages are put into
+//!   `(dest, matchable_time, sender, seq)` order, so each destination
+//!   rank's messages form one contiguous segment whose internal order is
+//!   exactly the global-key subsequence addressed to that mailbox. Small
+//!   epochs (and 1-worker pools) sort the gathered buffer in place; wide
+//!   ones publish one merge round whose chunk units every idle worker
+//!   claims through the epoch-tagged cursor, each presorting its per-task
+//!   runs and k-way merging them in a single pass, and the finishing
+//!   worker merges the partial outputs. The key is unique over the epoch,
+//!   so every strategy lands on the same order.
+//! * **Push by shard.** Segments are grouped into shards (never
+//!   splitting a segment). Small commits push inline; larger ones publish
+//!   a commit phase whose shards **all idle workers claim lock-free**,
+//!   batch-pushing into disjoint mailboxes with zero cross-shard
+//!   contention. Wake-ups are *deferred*: each shard records `(global key
+//!   of the triggering message, waker)` pairs, and after the push barrier
+//!   the finishing worker fires them in global key order — the order an
+//!   in-order push of the global-key sequence would fire them.
 //!
-//! Orthogonally, *how* the staged run reaches delivery order is itself
-//! selectable ([`SortAlgo`]): each task's staged
-//! run is already sorted by the global key **by construction** (the key's
-//! time component is a running max and `seq` increases along program
-//! order), so ordering the epoch is a merge problem, not a sort. The
-//! default **Merge** path k-way merges the pre-sorted per-task runs in a
-//! single heap-driven pass that moves each entry exactly once — inline
-//! for small epochs and 1-worker pools, else as one published merge
-//! round whose chunk units every idle worker claims through the same
-//! epoch-tagged cursor — while the **Sort** oracle keeps the original
-//! global `sort_by_key`. The commit key is unique over the epoch, so both
-//! produce the *same* unique sorted order regardless of merge-tree shape
-//! (DESIGN.md §10): this knob too is invisible in every simulation
-//! output. The merge path additionally recycles every epoch-commit
-//! buffer (runs, shards, wake records, round vectors) through per-family
-//! free lists, so the commit machinery of a steady-state epoch allocates
-//! nothing at one worker (DESIGN.md §10).
+//! Every epoch-commit buffer (runs, shards, wake records, round vectors)
+//! is recycled through per-family free lists, so the commit machinery of
+//! a steady-state epoch allocates nothing at one worker (DESIGN.md §10).
 //!
 //! Every input to this procedure — the round order, each task's behaviour
 //! against a frozen mailbox state, the staged-message sort key, the wake
 //! merge order — is a pure function of `(program, seed)`. Hence **the
 //! merged delivery order, and with it every simulation output, is
-//! bit-for-bit identical for any `coop_workers` and either commit
-//! algorithm**, including 1 worker. See DESIGN.md §5 for why committing
-//! deliveries at epoch boundaries preserves MPI matching semantics.
+//! bit-for-bit identical for any `coop_workers`**, including 1 worker.
+//! See DESIGN.md §5 for why committing deliveries at epoch boundaries
+//! preserves MPI matching semantics.
 //!
 //! # Blocking protocol (no lost wake-ups)
 //!
@@ -123,7 +115,6 @@ use parking_lot::{Condvar, Mutex};
 use crate::error::MpiError;
 use crate::faults::RoundBlame;
 use crate::mailbox::Wake;
-use crate::model::{CommitAlgo, SortAlgo};
 use crate::msg::Message;
 use crate::pool::Pool;
 use crate::proc::{Router, WaitReason};
@@ -132,6 +123,9 @@ use crate::time::Time;
 pub mod fleet;
 
 pub mod poll;
+
+#[cfg(test)]
+mod tests;
 
 // ---------------------------------------------------------------------------
 // Task states and park intents
@@ -289,8 +283,8 @@ struct CommitEntry {
 }
 
 /// The global commit key: total over all staged messages of one epoch
-/// (`(src, seq)` alone is already unique). The serial commit pushes in
-/// exactly this order; the sharded commit merges wake-ups by it.
+/// (`(src, seq)` alone is already unique). Each mailbox receives its
+/// messages in this order, and deferred wake-ups fire in it.
 type CommitKey = (Time, usize, u32);
 
 impl CommitEntry {
@@ -335,15 +329,14 @@ struct CommitWork {
 unsafe impl Send for CommitWork {}
 unsafe impl Sync for CommitWork {}
 
-/// The one published round of the parallel k-way merge
-/// ([`SortAlgo::Merge`]): the epoch's staged entries sit flat in
-/// `flat`, cut into per-task runs by `bounds` (each run sorted by
-/// the global commit key by construction). The worker that claims
-/// unit `i` presorts the runs of chunk `ranges[i]` in place
-/// (destination-major, when the commit is sharded) and k-way merges
+/// The one published round of the parallel k-way merge: the epoch's
+/// staged entries sit flat in `flat`, cut into per-task runs by
+/// `bounds` (each run sorted by the global commit key by
+/// construction). The worker that claims unit `i` presorts the runs
+/// of chunk `ranges[i]` destination-major in place and k-way merges
 /// them into `outputs[i]` in a single pass. The finishing worker
 /// then k-way merges the ≤ 2·workers partial outputs inline and
-/// delivers, exactly as the sort path would.
+/// delivers, exactly as the inline sort would.
 struct MergeWork {
     /// The epoch's staged entries, on loan from the scheduler's
     /// `commit_buf`. Entries are moved out by `ptr::read` during the
@@ -362,9 +355,6 @@ struct MergeWork {
     ranges: Vec<(usize, usize)>,
     /// One partial output run per claim unit.
     outputs: Vec<std::cell::UnsafeCell<Vec<CommitEntry>>>,
-    /// Merge key: destination-major (sharded commit) vs the plain
-    /// global commit key (serial commit).
-    dest_major: bool,
     /// Tasks that yielded during the epoch, threaded through the
     /// round to the eventual commit.
     next: Mutex<Vec<usize>>,
@@ -524,13 +514,11 @@ pub(crate) struct Scheduler {
     /// worker that completes the last one advances the phase.
     round_done: AtomicUsize,
     /// The one big staged-entry vector every epoch gathers into
-    /// (reused across epochs): the [`SortAlgo::Sort`] oracle sorts it
-    /// in place; the [`SortAlgo::Merge`] path sorts it in place for
-    /// small epochs and lends its storage to the published merge
-    /// round for wide ones.
+    /// (reused across epochs): sorted in place for small epochs, its
+    /// storage lent to the published merge round for wide ones.
     commit_buf: Mutex<Vec<CommitEntry>>,
     /// Reusable per-task run boundary list (`[start, end)` ranges of
-    /// `commit_buf`) of the merge path.
+    /// `commit_buf`).
     bounds_buf: Mutex<Vec<(usize, usize)>>,
     /// The commit-scratch pools — private to this scheduler for a
     /// solo run, shared across universes under a fleet (see
@@ -548,13 +536,6 @@ pub(crate) struct Scheduler {
     round_pool: Mutex<Vec<Arc<Vec<usize>>>>,
     /// The reusable partial-output run list of the merge finisher.
     runs_buf: Mutex<Vec<Vec<CommitEntry>>>,
-    /// How the epoch commit delivers staged messages.
-    commit_algo: CommitAlgo,
-    /// How the epoch commit orders staged messages (merge vs the
-    /// global-sort oracle; see the module docs).
-    sort_algo: SortAlgo,
-    /// Requested shard-count cap (0 = auto from the worker count).
-    commit_shards: usize,
     /// Effective worker count of the current run (set by `run`).
     workers: AtomicUsize,
     /// Messages staged by the epoch being committed (crash-stagnation
@@ -577,19 +558,14 @@ pub(crate) struct Scheduler {
 impl Scheduler {
     /// Prepare `p` empty task slots; [`Scheduler::spawn`] installs
     /// each rank's [`poll::RankBody`].
-    /// `router` is where committed messages are delivered;
-    /// `commit_algo`/`sort_algo`/`commit_shards` select and size the
-    /// commit pipeline (see [`CommitAlgo`] and [`SortAlgo`]).
-    /// `pools` supplies the commit-scratch pools (a fresh private set
-    /// for solo runs, the fleet-shared set under a fleet) and
-    /// `signal` the owning fleet's wake channel, if any.
-    #[allow(clippy::too_many_arguments)]
+    /// `router` is where committed messages are delivered; `profile`
+    /// turns on the wall-clock phase profile. `pools` supplies the
+    /// commit-scratch pools (a fresh private set for solo runs, the
+    /// fleet-shared set under a fleet) and `signal` the owning fleet's
+    /// wake channel, if any.
     pub fn new(
         p: usize,
         router: Arc<Router>,
-        commit_algo: CommitAlgo,
-        sort_algo: SortAlgo,
-        commit_shards: usize,
         profile: bool,
         pools: Arc<SchedPools>,
         signal: Option<Arc<FleetSignal>>,
@@ -640,9 +616,6 @@ impl Scheduler {
             round_pool: Mutex::new(Vec::new()),
             runs_buf: Mutex::new(Vec::new()),
             bounds_buf: Mutex::new(Vec::new()),
-            commit_algo,
-            sort_algo,
-            commit_shards,
             workers: AtomicUsize::new(1),
             epoch_msgs: AtomicUsize::new(0),
             stagnant: AtomicUsize::new(0),
@@ -719,7 +692,7 @@ impl Scheduler {
 
     /// The scheduler's deterministic model counters after a run:
     /// `(epochs, wakeups, switches)` — all pure functions of the
-    /// program, identical for every worker count and commit algorithm.
+    /// program, identical for every worker count.
     pub fn counters(&self) -> (u64, u64, u64) {
         (
             self.shared.epochs.load(Ordering::Relaxed),
@@ -876,22 +849,13 @@ impl Scheduler {
     }
 
     /// Shard-count target for a commit of `entries` staged messages:
-    /// the explicit [`SimConfig::coop_commit_shards`] cap when set,
-    /// otherwise ~2 claim units per worker with [`MIN_SHARD_ENTRIES`]
-    /// as the floor (1 worker ⇒ 1 shard ⇒ the inline fast path).
+    /// ~2 claim units per worker with [`MIN_SHARD_ENTRIES`] as the
+    /// floor (1 worker ⇒ 1 shard ⇒ the inline fast path).
     ///
     /// The shard count never affects simulation output — per-mailbox
     /// push order and the wake merge are independent of where the
-    /// segment run is cut — so this is purely a throughput knob.
-    ///
-    /// [`SimConfig::coop_commit_shards`]: crate::SimConfig::coop_commit_shards
+    /// segment run is cut (DESIGN.md §7).
     fn shard_target(&self, entries: usize) -> usize {
-        if entries == 0 {
-            return 1;
-        }
-        if self.commit_shards > 0 {
-            return self.commit_shards.min(entries);
-        }
         let w = self.workers.load(Ordering::Relaxed).max(1);
         if w == 1 {
             return 1;
@@ -900,7 +864,20 @@ impl Scheduler {
     }
 
     /// The executed round is complete: requeue yielded tasks, gather
-    /// the epoch's staged messages, and run — or publish — the commit.
+    /// the epoch's staged messages into the flat `commit_buf` (one
+    /// run per task, recorded in `bounds`), and order and deliver
+    /// them. The global commit key is monotone along each sender's
+    /// program order (running max), so per-sender FIFO is preserved;
+    /// across senders it makes wake-up order — and hence the next
+    /// round's tail — follow virtual time.
+    ///
+    /// Wide epochs publish one chunked [`Work::Merge`] round the whole
+    /// pool claims — each unit k-way merges a contiguous slice of runs
+    /// in a single heap-driven pass that moves every entry exactly
+    /// once. Small epochs (and 1-worker pools) instead sort the flat
+    /// buffer in place with the allocation-free unstable sort. The
+    /// destination-major key is globally *unique*, so both land on the
+    /// same sorted order (DESIGN.md §10).
     fn finish_round(&self, round: &[usize]) {
         // 1. Yielded tasks re-enter first, in their epoch order.
         let mut next = self.pools.idx_pool.take();
@@ -909,106 +886,24 @@ impl Scheduler {
                 next.push(tid);
             }
         }
-        // 2. Order and deliver the staged messages. The global commit
-        // key is monotone along each sender's program order (running
-        // max), so per-sender FIFO is preserved; across senders it
-        // makes wake-up order — and hence the next round's tail —
-        // follow virtual time.
-        match self.sort_algo {
-            SortAlgo::Sort => self.finish_round_sort(round, next),
-            SortAlgo::Merge => self.finish_round_merge(round, next),
-        }
-    }
-
-    /// The [`SortAlgo::Sort`] oracle: gather every staged message into
-    /// one vector and sort it globally — the reference the merge path
-    /// is checked against.
-    fn finish_round_sort(&self, round: &[usize], next: Vec<usize>) {
-        let mut staged = self.commit_buf.lock();
-        for &tid in round {
-            let out = unsafe { &mut *self.slots[tid].staged.get() };
-            let mut matchable = Time::ZERO;
-            for (seq, (dest, msg)) in out.drain(..).enumerate() {
-                matchable = matchable.max(msg.arrival);
-                staged.push(CommitEntry {
-                    matchable,
-                    src: tid,
-                    seq: seq as u32,
-                    dest,
-                    msg,
-                });
-            }
-        }
-        // Progress signal for the crash-stagnation detector: how many
-        // messages this epoch stages (a pure function of the epoch
-        // contents, so identical under every worker count, commit
-        // algorithm, and sort algorithm). Read back by `finish_epoch`.
-        self.epoch_msgs.store(staged.len(), Ordering::Relaxed);
-        if self.commit_algo == CommitAlgo::Serial {
-            // Serial oracle: one global (matchable, src, seq)-ordered
-            // push loop on this worker; wakes fire inline, in order.
-            staged.sort_by_key(CommitEntry::key);
-            for e in staged.drain(..) {
-                self.router.mailboxes[e.dest].push(e.msg);
-            }
-            drop(staged);
-            self.finish_epoch(next);
-            return;
-        }
-        // Sharded path: destination-major sort. Each destination's
-        // segment is contiguous and internally ordered by the global
-        // key — exactly the serial commit's per-mailbox subsequence —
-        // so segments can be pushed concurrently without perturbing
-        // any mailbox's state.
-        staged.sort_by_key(|e| (e.dest, e.matchable, e.src, e.seq));
-        let mut buf = std::mem::take(&mut *staged);
-        drop(staged);
-        self.deliver_sorted(&mut buf, next);
-        *self.commit_buf.lock() = buf;
-    }
-
-    /// The [`SortAlgo::Merge`] path: per-task staged runs are already
-    /// sorted by the global commit key by construction. Entries are
-    /// gathered into the shared flat `commit_buf` with per-task run
-    /// boundaries recorded on the side. Wide epochs publish one
-    /// chunked [`Work::Merge`] round the whole pool claims — each
-    /// unit k-way merges a contiguous slice of runs in a single
-    /// heap-driven pass that moves every entry exactly once. Small
-    /// epochs (and 1-worker pools) instead sort the flat buffer in
-    /// place with the allocation-free unstable sort: the commit key
-    /// is globally *unique*, so every strategy lands on the same
-    /// sorted order — DESIGN.md §10 proves the result bit-identical
-    /// to the [`SortAlgo::Sort`] oracle either way.
-    fn finish_round_merge(&self, round: &[usize], next: Vec<usize>) {
-        let dest_major = self.commit_algo != CommitAlgo::Serial;
+        // 2. Gather, order, and deliver the staged messages.
         let mut staged = self.commit_buf.lock();
         let mut bounds = std::mem::take(&mut *self.bounds_buf.lock());
         for &tid in round {
             let out = unsafe { &mut *self.slots[tid].staged.get() };
-            if out.is_empty() {
-                continue;
-            }
-            let start = staged.len();
-            let mut matchable = Time::ZERO;
-            for (seq, (dest, msg)) in out.drain(..).enumerate() {
-                matchable = matchable.max(msg.arrival);
-                staged.push(CommitEntry {
-                    matchable,
-                    src: tid,
-                    seq: seq as u32,
-                    dest,
-                    msg,
-                });
-            }
-            bounds.push((start, staged.len()));
+            bounds.extend(gather_run(&mut staged, tid, out));
         }
+        // Progress signal for the crash-stagnation detector: how many
+        // messages this epoch stages (a pure function of the epoch
+        // contents, so identical under every worker count). Read back
+        // by `finish_epoch`.
         let total = staged.len();
         self.epoch_msgs.store(total, Ordering::Relaxed);
         let workers = self.workers.load(Ordering::Relaxed).max(1);
         if workers > 1 && bounds.len() > 2 && total >= MIN_MERGE_ENTRIES {
             let flat = std::mem::take(&mut *staged);
             drop(staged);
-            self.publish_merge(flat, bounds, dest_major, next);
+            self.publish_merge(flat, bounds, next);
             return;
         }
         bounds.clear();
@@ -1016,18 +911,9 @@ impl Scheduler {
         // Inline fast path: below the publish threshold a claim
         // round-trip costs more than the ordering itself, so order
         // the flat buffer in place. The unstable sort is
-        // deterministic here because the key is unique, and unlike
-        // the oracle's stable sort it allocates no scratch.
-        if self.commit_algo == CommitAlgo::Serial {
-            staged.sort_unstable_by_key(CommitEntry::key);
-            for e in staged.drain(..) {
-                self.router.mailboxes[e.dest].push(e.msg);
-            }
-            drop(staged);
-            self.finish_epoch(next);
-            return;
-        }
-        staged.sort_unstable_by_key(|e| (e.dest, e.matchable, e.src, e.seq));
+        // deterministic here because the key is unique, and unlike a
+        // stable sort it allocates no scratch.
+        staged.sort_unstable_by_key(merge_key);
         let mut buf = std::mem::take(&mut *staged);
         drop(staged);
         self.deliver_sorted(&mut buf, next);
@@ -1035,38 +921,26 @@ impl Scheduler {
     }
 
     /// [`merge_k`] with heap/cursor scratch drawn from the index pool.
-    fn merge_k_pooled(
-        &self,
-        runs: &mut [Vec<CommitEntry>],
-        out: &mut Vec<CommitEntry>,
-        dest_major: bool,
-    ) {
+    fn merge_k_pooled(&self, runs: &mut [Vec<CommitEntry>], out: &mut Vec<CommitEntry>) {
         let mut pos = self.pools.idx_pool.take();
         let mut heap = self.pools.idx_pool.take();
-        merge_k(runs, out, dest_major, &mut pos, &mut heap);
+        merge_k(runs, out, &mut pos, &mut heap);
         pos.clear();
         self.pools.idx_pool.put(pos);
         self.pools.idx_pool.put(heap);
     }
 
     /// Publish the one chunked merge round over the flat staged
-    /// buffer: ~2 claim units per worker, each k-way merging a
-    /// contiguous chunk of per-task runs into one partial output in
-    /// a single pass.
+    /// buffer: ~2 claim units per worker (see [`merge_ranges`]), each
+    /// k-way merging a contiguous chunk of per-task runs into one
+    /// partial output in a single pass.
     fn publish_merge(
         &self,
         mut flat: Vec<CommitEntry>,
         bounds: Vec<(usize, usize)>,
-        dest_major: bool,
         next: Vec<usize>,
     ) {
-        let workers = self.workers.load(Ordering::Relaxed).max(1);
-        let units = (bounds.len() / 2).clamp(1, 2 * workers);
-        let per = bounds.len().div_ceil(units);
-        let ranges: Vec<(usize, usize)> = (0..units)
-            .map(|i| (i * per, ((i + 1) * per).min(bounds.len())))
-            .filter(|&(lo, hi)| lo < hi)
-            .collect();
+        let ranges = merge_ranges(bounds.len(), self.workers.load(Ordering::Relaxed));
         let outputs = (0..ranges.len())
             .map(|_| std::cell::UnsafeCell::new(self.pools.entry_pool.take()))
             .collect();
@@ -1080,16 +954,15 @@ impl Scheduler {
             bounds,
             ranges,
             outputs,
-            dest_major,
             next: Mutex::new(next),
         });
         self.publish(Work::Merge(mw));
     }
 
-    /// Claimed merge unit `i`: k-way merge the flat-buffer runs of
-    /// chunk `ranges[i]` into `outputs[i]`, presorting each run
-    /// slice destination-major first when the commit is sharded.
-    /// Returns the number of input runs consumed (profile data).
+    /// Claimed merge unit `i`: presort each flat-buffer run of chunk
+    /// `ranges[i]` destination-major, then k-way merge them into
+    /// `outputs[i]`. Returns the number of input runs consumed
+    /// (profile data).
     fn merge_unit(&self, mw: &MergeWork, i: usize) -> u64 {
         let (lo, hi) = mw.ranges[i];
         let chunk = &mw.bounds[lo..hi];
@@ -1101,10 +974,8 @@ impl Scheduler {
         let out = unsafe { &mut *mw.outputs[i].get() };
         let mut total = 0;
         for &(s, e) in chunk {
-            if mw.dest_major {
-                let run = unsafe { std::slice::from_raw_parts_mut(mw.base.add(s), e - s) };
-                presort_run(run);
-            }
+            let run = unsafe { std::slice::from_raw_parts_mut(mw.base.add(s), e - s) };
+            presort_run(run);
             total += e - s;
         }
         out.reserve(total);
@@ -1114,7 +985,7 @@ impl Scheduler {
         // entry in `chunk`'s bound ranges is moved out exactly once
         // (the finisher resets `flat`'s length before the moved-out
         // entries could drop through the `Vec`).
-        unsafe { merge_k_flat(mw.base, chunk, out, mw.dest_major, &mut pos, &mut heap) };
+        unsafe { merge_k_flat(mw.base, chunk, out, &mut pos, &mut heap) };
         pos.clear();
         self.pools.idx_pool.put(pos);
         self.pools.idx_pool.put(heap);
@@ -1143,7 +1014,7 @@ impl Scheduler {
         }
         let mut merged = self.pools.entry_pool.take();
         merged.reserve(total);
-        self.merge_k_pooled(&mut runs, &mut merged, mw.dest_major);
+        self.merge_k_pooled(&mut runs, &mut merged);
         for run in runs.drain(..) {
             if run.capacity() > 0 {
                 self.pools.entry_pool.put(run);
@@ -1151,24 +1022,9 @@ impl Scheduler {
         }
         *self.runs_buf.lock() = runs;
         let next = std::mem::take(&mut *mw.next.lock());
-        self.deliver_merged(&mut merged, next, mw.dest_major);
+        self.deliver_sorted(&mut merged, next);
         if merged.capacity() > 0 {
             self.pools.entry_pool.put(merged);
-        }
-    }
-
-    /// Deliver the fully merged run: a serial commit pushes inline in
-    /// global key order (wakes fire in push order — the oracle's own
-    /// order); a sharded commit hands the destination-major run to
-    /// the shard pipeline.
-    fn deliver_merged(&self, merged: &mut Vec<CommitEntry>, next: Vec<usize>, dest_major: bool) {
-        if dest_major {
-            self.deliver_sorted(merged, next);
-        } else {
-            for e in merged.drain(..) {
-                self.router.mailboxes[e.dest].push(e.msg);
-            }
-            self.finish_epoch(next);
         }
     }
 
@@ -1193,13 +1049,15 @@ impl Scheduler {
         // Cut the run into ≤ target shards at segment boundaries
         // (shards own whole destinations; a `cmp` on `dest` marks the
         // cut). Every shard except possibly the last holds ≥ ⌈n/target⌉
-        // entries, so at most `target` shards are produced. Shard
-        // vectors are recycled through `entry_pool`, so steady state
-        // moves each entry once (ordered run → shard) without
-        // allocating. (Handing claimers disjoint raw sub-slices of
-        // the run itself would avoid even that move, but needs
-        // `ptr::read`-style manual moves out of aliased storage; one
-        // 64-byte memcpy per message isn't worth that unsafety.)
+        // entries, so at most `target` shards are produced — a single
+        // one when the entries from index ⌈n/target⌉ − 1 on share one
+        // destination; `publish` keeps that one-unit phase on this
+        // worker. Shard vectors are recycled through `entry_pool`, so
+        // steady state moves each entry once (ordered run → shard)
+        // without allocating. (Handing claimers disjoint raw
+        // sub-slices of the run itself would avoid even that move, but
+        // needs `ptr::read`-style manual moves out of aliased storage;
+        // one 64-byte memcpy per message isn't worth that unsafety.)
         let per = staged.len().div_ceil(target);
         let take_shard = || {
             let mut v = self.pools.entry_pool.take();
@@ -1214,19 +1072,6 @@ impl Scheduler {
                 shards.push(std::cell::UnsafeCell::new(full));
             }
             cur.push(e);
-        }
-        if shards.is_empty() {
-            // One giant destination segment (pure all-to-one fan-in):
-            // a single mailbox must be pushed in order anyway.
-            let mut wakes = self.pools.wake_pool.take();
-            let mut scratch = self.pools.scratch_pool.take();
-            push_segments(&self.router, cur.drain(..), &mut wakes, &mut scratch);
-            self.pools.scratch_pool.put(scratch);
-            self.pools.entry_pool.put(cur);
-            self.fire_wakes_merged(&mut wakes);
-            self.pools.wake_pool.put(wakes);
-            self.finish_epoch(next);
-            return;
         }
         shards.push(std::cell::UnsafeCell::new(cur));
         let wakes = (0..shards.len())
@@ -1256,8 +1101,7 @@ impl Scheduler {
     }
 
     /// All shards are pushed: merge the deferred wake-ups in global
-    /// key order (bit-identical to the serial commit's wake order) and
-    /// close out the epoch.
+    /// key order and close out the epoch.
     fn finish_commit(&self, cw: &CommitWork) {
         let mut recs = self.pools.wake_pool.take();
         for (s, slot) in cw.wakes.iter().enumerate() {
@@ -1295,7 +1139,8 @@ impl Scheduler {
     /// unstable sort reproduces exactly what a stable by-key sort of
     /// the shard concatenation would: several waiters triggered by
     /// the *same* message keep their subscription order — the order
-    /// the serial commit's inline `push` produces.
+    /// an in-order `push` of the global-key sequence fires them in
+    /// (DESIGN.md §7).
     fn fire_wakes_merged(&self, recs: &mut Vec<WakeRec>) {
         recs.sort_unstable_by_key(|r| (r.key, r.ord));
         for r in recs.drain(..) {
@@ -1328,7 +1173,7 @@ impl Scheduler {
         // possible any more: poison every unfinished task so polling
         // loops fail loudly with a RoundBlame. Every input here is a
         // pure function of the epoch contents, so the poison epoch is
-        // identical for every worker count and commit algorithm.
+        // identical for every worker count.
         let live = self.shared.live.load(Ordering::Acquire);
         if live > 0 && self.router.faults.has_crashes() {
             let msgs = self.epoch_msgs.swap(0, Ordering::Relaxed);
@@ -1568,19 +1413,55 @@ fn push_segments(
     flush(router, dest, s, wakes);
 }
 
-/// The merge comparator: destination-major for sharded commits
-/// (matching the oracle's `(dest, matchable, src, seq)` sort key),
-/// the plain global commit key for serial ones (leading 0). Total
-/// *and unique* over an epoch's staged messages either way, so
-/// merging sorted runs by it reproduces the oracle's sorted order
-/// exactly, independent of the merge-tree shape.
-fn merge_key(e: &CommitEntry, dest_major: bool) -> (usize, Time, usize, u32) {
-    (
-        if dest_major { e.dest } else { 0 },
-        e.matchable,
-        e.src,
-        e.seq,
-    )
+/// The commit order: destination-major `(dest, matchable, src, seq)`.
+/// Total *and unique* over an epoch's staged messages (`(src, seq)`
+/// alone is unique), so sorting by it and merging sorted runs by it
+/// land on the same order, independent of the merge-tree shape. Each
+/// destination's segment is ordered by the global [`CommitKey`].
+fn merge_key(e: &CommitEntry) -> (usize, Time, usize, u32) {
+    (e.dest, e.matchable, e.src, e.seq)
+}
+
+/// Append task `src`'s staged messages (in program order) to `flat`
+/// as one commit run, draining `out`: `matchable` is the running
+/// maximum of arrival times and `seq` the send index, so the run is
+/// sorted by the global [`CommitKey`] by construction. Returns the
+/// run's `[start, end)` range in `flat`, or `None` when nothing was
+/// staged.
+fn gather_run(
+    flat: &mut Vec<CommitEntry>,
+    src: usize,
+    out: &mut Vec<(usize, Message)>,
+) -> Option<(usize, usize)> {
+    if out.is_empty() {
+        return None;
+    }
+    let start = flat.len();
+    let mut matchable = Time::ZERO;
+    for (seq, (dest, msg)) in out.drain(..).enumerate() {
+        matchable = matchable.max(msg.arrival);
+        flat.push(CommitEntry {
+            matchable,
+            src,
+            seq: seq as u32,
+            dest,
+            msg,
+        });
+    }
+    Some((start, flat.len()))
+}
+
+/// The claim units of a published merge round over `runs` per-task
+/// runs on `workers` workers: ~2 units per worker, each a disjoint,
+/// non-empty `[lo, hi)` chunk of run indices, together tiling
+/// `0..runs`.
+fn merge_ranges(runs: usize, workers: usize) -> Vec<(usize, usize)> {
+    let units = (runs / 2).clamp(1, 2 * workers.max(1));
+    let per = runs.div_ceil(units);
+    (0..units)
+        .map(|i| (i * per, ((i + 1) * per).min(runs)))
+        .filter(|&(lo, hi)| lo < hi)
+        .collect()
 }
 
 /// Sort one per-task run destination-major. Within a run `src` is
@@ -1595,10 +1476,10 @@ fn presort_run(run: &mut [CommitEntry]) {
 /// `out` (appending), emptying every input — capacity is retained
 /// for recycling. A binary min-heap of run indices pops the globally
 /// smallest head `m` times, so every entry is **moved exactly once**
-/// (`CommitEntry` is large; the pairwise-rounds alternative moves
-/// each entry once per halving round and loses to the sort oracle on
-/// wide epochs). The key is unique across runs, so the result is the
-/// unique sorted order of the union — no tie-breaking needed.
+/// (`CommitEntry` is large; a pairwise-rounds merge would move each
+/// entry once per halving round). The key is unique across runs, so
+/// the result is the unique sorted order of the union — no
+/// tie-breaking needed.
 ///
 /// `pos` (per-run read cursor) and `heap` are caller-provided
 /// scratch, cleared here. **`out` must already have capacity for
@@ -1610,7 +1491,6 @@ fn presort_run(run: &mut [CommitEntry]) {
 fn merge_k(
     runs: &mut [Vec<CommitEntry>],
     out: &mut Vec<CommitEntry>,
-    dest_major: bool,
     pos: &mut Vec<usize>,
     heap: &mut Vec<usize>,
 ) {
@@ -1619,7 +1499,7 @@ fn merge_k(
     heap.clear();
     heap.extend((0..runs.len()).filter(|&r| !runs[r].is_empty()));
     for i in (0..heap.len() / 2).rev() {
-        sift_down(heap, i, runs, pos, dest_major);
+        sift_down(heap, i, runs, pos);
     }
     while let Some(&r) = heap.first() {
         // Safety: each `(run, index)` is read exactly once (`pos[r]`
@@ -1637,7 +1517,7 @@ fn merge_k(
             heap.pop();
         }
         if !heap.is_empty() {
-            sift_down(heap, 0, runs, pos, dest_major);
+            sift_down(heap, 0, runs, pos);
         }
     }
     for run in runs.iter_mut() {
@@ -1650,14 +1530,8 @@ fn merge_k(
 
 /// Restore the min-heap property at `heap[i]`: sift the run index
 /// down while a child's head entry has a smaller [`merge_key`].
-fn sift_down(
-    heap: &mut [usize],
-    mut i: usize,
-    runs: &[Vec<CommitEntry>],
-    pos: &[usize],
-    dest_major: bool,
-) {
-    let key = |r: usize| merge_key(&runs[r][pos[r]], dest_major);
+fn sift_down(heap: &mut [usize], mut i: usize, runs: &[Vec<CommitEntry>], pos: &[usize]) {
+    let key = |r: usize| merge_key(&runs[r][pos[r]]);
     loop {
         let l = 2 * i + 1;
         if l >= heap.len() {
@@ -1700,7 +1574,6 @@ unsafe fn merge_k_flat(
     base: *mut CommitEntry,
     bounds: &[(usize, usize)],
     out: &mut Vec<CommitEntry>,
-    dest_major: bool,
     pos: &mut Vec<usize>,
     heap: &mut Vec<usize>,
 ) {
@@ -1709,7 +1582,7 @@ unsafe fn merge_k_flat(
     heap.clear();
     heap.extend((0..bounds.len()).filter(|&r| bounds[r].0 < bounds[r].1));
     for i in (0..heap.len() / 2).rev() {
-        sift_down_flat(heap, i, base, pos, dest_major);
+        sift_down_flat(heap, i, base, pos);
     }
     while let Some(&r) = heap.first() {
         out.push(std::ptr::read(base.add(pos[r])));
@@ -1720,7 +1593,7 @@ unsafe fn merge_k_flat(
             heap.pop();
         }
         if !heap.is_empty() {
-            sift_down_flat(heap, 0, base, pos, dest_major);
+            sift_down_flat(heap, 0, base, pos);
         }
     }
 }
@@ -1739,9 +1612,8 @@ unsafe fn sift_down_flat(
     mut i: usize,
     base: *const CommitEntry,
     pos: &[usize],
-    dest_major: bool,
 ) {
-    let key = |r: usize| merge_key(&*base.add(pos[r]), dest_major);
+    let key = |r: usize| merge_key(&*base.add(pos[r]));
     loop {
         let l = 2 * i + 1;
         if l >= heap.len() {

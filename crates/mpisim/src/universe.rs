@@ -36,7 +36,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::comm::Comm;
 use crate::faults::{FaultPlan, FaultState};
-use crate::model::{CommitAlgo, CostModel, SortAlgo, VendorProfile};
+use crate::model::{CostModel, VendorProfile};
 use crate::proc::{ProcState, Router};
 use crate::sched;
 use crate::time::Time;
@@ -85,38 +85,17 @@ pub struct SimConfig {
     /// run independent ranks of each epoch in parallel with identical
     /// output.
     pub coop_workers: usize,
-    /// How the cooperative scheduler's epoch commit delivers staged
-    /// messages: [`CommitAlgo::Sharded`] (default) partitions the
-    /// globally sorted run by destination rank and lets all idle workers
-    /// push segments in parallel; [`CommitAlgo::Serial`] is the original
-    /// single-threaded commit, kept as the correctness oracle. Both
-    /// produce bit-identical output for every worker count; only
-    /// wall-clock speed differs. Ignored by [`Backend::Threads`].
-    pub commit_algo: CommitAlgo,
-    /// How the cooperative scheduler puts an epoch's staged messages into
-    /// commit order: [`SortAlgo::Merge`] (default) merges the pre-sorted
-    /// per-task runs in a parallel work phase; [`SortAlgo::Sort`] is the
-    /// original single-worker global sort, kept as the correctness
-    /// oracle. Both produce bit-identical output for every worker count
-    /// and commit algorithm; only wall-clock speed (and allocation
-    /// behaviour) differs. Ignored by [`Backend::Threads`].
-    pub sort_algo: SortAlgo,
-    /// Upper bound on the claim units of one sharded commit (0 = auto:
-    /// ~2 shards per worker, with small commits staying inline on the
-    /// committing worker). Like `coop_workers`, this is purely a
-    /// throughput knob — any value yields identical output.
-    pub coop_commit_shards: usize,
     /// Seeded fault-injection plan (stragglers, crash-stop, message
     /// jitter); the default plan injects nothing. Faults are a pure
     /// function of `(program, seed, perturb_seed)` — never of the worker
-    /// count or commit algorithm — so faulted runs keep the bit-identical
+    /// count — so faulted runs keep the bit-identical
     /// determinism guarantees. See [`crate::faults`].
     pub faults: FaultPlan,
     /// Record a deterministic event trace ([`crate::obs::Trace`]): op
     /// spans, send/deliver edges, collective phase marks, fault and blame
     /// events, all stamped with virtual time. The trace is a pure
     /// function of `(program, seed, fault plan)` — byte-identical for
-    /// every worker count and commit algorithm — and recording it changes
+    /// every worker count — and recording it changes
     /// **nothing** the simulation computes (observer effect zero; see
     /// DESIGN.md §9). Off by default: tracing costs memory proportional
     /// to the event count.
@@ -138,9 +117,6 @@ impl Default for SimConfig {
             stack_size: 1 << 20,
             backend: Backend::Threads,
             coop_workers: 1,
-            commit_algo: CommitAlgo::Sharded,
-            sort_algo: SortAlgo::Merge,
-            coop_commit_shards: 0,
             faults: FaultPlan::default(),
             trace: false,
             sched_profile: false,
@@ -153,16 +129,10 @@ impl SimConfig {
     /// ([`Backend::Poll`]; rank bodies go through [`Universe::run_poll`]).
     /// The
     /// worker-pool size honours the `MPISIM_COOP_WORKERS` environment
-    /// variable (default 1), the commit algorithm honours
-    /// `MPISIM_COOP_COMMIT` (`sharded`, the default, or `serial` for the
-    /// oracle), the commit-ordering algorithm honours `MPISIM_COOP_SORT`
-    /// (`merge`, the default, or `sort` for the single-worker oracle),
-    /// and the shard cap honours `MPISIM_COOP_COMMIT_SHARDS`
-    /// (0 = auto) — so sweeps and CI can exercise the whole matrix
-    /// without code changes. Results are identical for every combination.
+    /// variable (default 1) — results are identical for every value.
     /// The fault plan honours the `MPISIM_FAULT_SEED` / `MPISIM_FAULT_SLOW`
     /// / `MPISIM_FAULT_CRASH` / `MPISIM_FAULT_JITTER` knobs (strict
-    /// parsing; see [`FaultPlan::from_env`]) — unlike the commit knobs,
+    /// parsing; see [`FaultPlan::from_env`]) — unlike the worker count,
     /// a fault plan *does* change what is simulated, deterministically.
     /// `MPISIM_TRACE=1` turns on the deterministic event trace and
     /// `MPISIM_SCHED_PROFILE=1` the wall-clock scheduler profile (both
@@ -174,11 +144,6 @@ impl SimConfig {
         SimConfig {
             backend: env::backend_from(env::var("MPISIM_BACKEND").as_deref()),
             coop_workers: env::coop_workers_from(env::var("MPISIM_COOP_WORKERS").as_deref()),
-            commit_algo: env::commit_algo_from(env::var("MPISIM_COOP_COMMIT").as_deref()),
-            sort_algo: env::coop_sort_from(env::var("MPISIM_COOP_SORT").as_deref()),
-            coop_commit_shards: env::commit_shards_from(
-                env::var("MPISIM_COOP_COMMIT_SHARDS").as_deref(),
-            ),
             faults: FaultPlan::from_env(),
             trace: env::trace_from(env::var("MPISIM_TRACE").as_deref()),
             sched_profile: env::sched_profile_from(env::var("MPISIM_SCHED_PROFILE").as_deref()),
@@ -202,31 +167,6 @@ impl SimConfig {
     /// Replace the vendor profile.
     pub fn with_vendor(mut self, vendor: VendorProfile) -> SimConfig {
         self.vendor = vendor;
-        self
-    }
-
-    /// Replace the cooperative scheduler's epoch-commit algorithm (the
-    /// single-threaded [`CommitAlgo::Serial`] survives as the correctness
-    /// oracle for the default destination-sharded commit; output is
-    /// bit-identical either way).
-    pub fn with_commit_algo(mut self, algo: CommitAlgo) -> SimConfig {
-        self.commit_algo = algo;
-        self
-    }
-
-    /// Replace the cooperative scheduler's commit-ordering algorithm (the
-    /// single-worker [`SortAlgo::Sort`] survives as the correctness oracle
-    /// for the default parallel merge; output is bit-identical either
-    /// way).
-    pub fn with_sort_algo(mut self, algo: SortAlgo) -> SimConfig {
-        self.sort_algo = algo;
-        self
-    }
-
-    /// Replace the sharded commit's claim-unit cap (0 = auto; any value
-    /// yields identical output, see [`SimConfig::coop_commit_shards`]).
-    pub fn with_commit_shards(mut self, shards: usize) -> SimConfig {
-        self.coop_commit_shards = shards;
         self
     }
 
@@ -480,9 +420,6 @@ impl Universe {
         let scheduler = sched::Scheduler::new(
             p,
             Arc::clone(router),
-            cfg.commit_algo,
-            cfg.sort_algo,
-            cfg.coop_commit_shards,
             cfg.sched_profile,
             // A solo run owns a private pool set; only a fleet
             // ([`crate::sched::fleet::Fleet`]) shares one across universes.
@@ -514,7 +451,11 @@ impl Universe {
             }
         }
         let order = seeded_order(p, cfg.seed);
-        if let Some((_rank, payload)) = scheduler.run(cfg.coop_workers, &order) {
+        // No phase has more than p claim units (tasks, destination
+        // shards, or at most p/2 merge units), so workers beyond p
+        // would only sit idle.
+        let workers = cfg.coop_workers.min(p);
+        if let Some((_rank, payload)) = scheduler.run(workers, &order) {
             std::panic::resume_unwind(payload);
         }
         (scheduler.counters(), scheduler.take_profile())
@@ -680,8 +621,32 @@ mod tests {
         });
     }
 
-    // The env-knob parser tests (commit algorithm, shard cap, trace, …)
-    // live with the parsers in `crate::env`.
+    // The env-knob parser tests (worker count, trace, …) live with the
+    // parsers in `crate::env`.
+
+    #[test]
+    fn coop_worker_count_is_clamped_to_the_rank_count() {
+        let run = |workers: usize| {
+            let cfg = SimConfig::cooperative()
+                .with_workers(workers)
+                .with_sched_profile(true);
+            Universe::run_poll(3, cfg, |env| async move {
+                let w = &env.world;
+                let sum = w
+                    .allreduce_async(&[w.rank() as u64 + 1], |a, b| a + b)
+                    .await;
+                sum.unwrap()[0]
+            })
+        };
+        let solo = run(1);
+        let wide = run(8);
+        assert_eq!(
+            wide.sched_profile.expect("profile requested").workers.len(),
+            3
+        );
+        assert_eq!(wide.per_rank, solo.per_rank);
+        assert_eq!(wide.clocks, solo.clocks);
+    }
 
     #[test]
     fn coop_bcast_works() {

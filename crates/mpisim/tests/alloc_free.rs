@@ -33,7 +33,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::future::Future;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use mpisim::{coll, distsort, ops, recv_async, SimConfig, SortAlgo, Src, Transport, Universe};
+use mpisim::{coll, distsort, ops, recv_async, SimConfig, Src, Transport, Universe};
 
 /// Counts every allocation event (alloc, alloc_zeroed, and realloc —
 /// a realloc that moves is a fresh allocation for our purposes); frees
@@ -185,13 +185,9 @@ fn snapshot(rank: usize, snaps: &mut Vec<u64>) {
 }
 
 /// Every knob the measurement depends on, pinned: 1 worker (inline
-/// commits, one thread) and the merge ordering (the sort oracle's stable
-/// `sort_by_key` allocates scratch by design).
+/// commits, one thread).
 fn storm_cfg(seed: u64) -> SimConfig {
-    SimConfig::cooperative()
-        .with_seed(seed)
-        .with_workers(1)
-        .with_sort_algo(SortAlgo::Merge)
+    SimConfig::cooperative().with_seed(seed).with_workers(1)
 }
 
 /// A storm body: one of the two `async fn`s above.

@@ -1,18 +1,17 @@
 //! Fault-injection determinism matrix: any [`FaultPlan`] — stragglers,
 //! crash-stop, message jitter — must leave the cooperative runtime
-//! **byte-identical** across worker counts and commit algorithms, because
-//! every fault decision is a pure function of `(program, seed,
-//! perturbation seed)` and never of scheduling. The storms reuse the
-//! sharded-commit oracle harness (wildcard receives, colliding tags,
-//! a concurrent nonblocking collective) with a fault plan layered on top;
-//! runs with crashes additionally capture the error text of every rank,
-//! so the `RoundBlame` diagnostics themselves are checked for
-//! worker-invariance.
+//! **byte-identical** across worker counts, because every fault decision
+//! is a pure function of `(program, seed, perturbation seed)` and never of
+//! scheduling. The storms reuse the epoch-commit storm of
+//! `commit_shard.rs` (wildcard receives, colliding tags, a concurrent
+//! nonblocking collective) with a fault plan layered on top; runs with
+//! crashes additionally capture the error text of every rank, so the
+//! `RoundBlame` diagnostics themselves are checked for worker-invariance.
 
 use std::sync::{Arc, Mutex};
 
 use mpisim::{nbcoll, recv_async, FaultPlan, Fleet};
-use mpisim::{ops, CommitAlgo, SimConfig, SimResult, Src, Time, Transport, Universe};
+use mpisim::{ops, SimConfig, SimResult, Src, Time, Transport, Universe};
 use proptest::prelude::*;
 
 /// One rank's full observation of a faulted storm: the exact `(source,
@@ -66,10 +65,9 @@ async fn storm_rank(env: mpisim::ProcEnv, p: usize, per: usize, logs: LogStore) 
 
 /// The storm's config under `plan` (worker count comes from the runner —
 /// `with_workers` for solo runs, `Fleet::new` for fleet batches).
-fn storm_cfg(seed: u64, algo: CommitAlgo, plan: &FaultPlan) -> SimConfig {
+fn storm_cfg(seed: u64, plan: &FaultPlan) -> SimConfig {
     SimConfig::cooperative()
         .with_seed(seed)
-        .with_commit_algo(algo)
         .with_faults(plan.clone())
 }
 
@@ -94,11 +92,10 @@ fn faulted_storm_log(
     seed: u64,
     plan: &FaultPlan,
     workers: usize,
-    algo: CommitAlgo,
 ) -> Vec<RankLog> {
     assert!(p > *FANOUT_OFFSETS.iter().max().unwrap());
     let logs: LogStore = Arc::new(Mutex::new(vec![Vec::new(); p]));
-    let cfg = storm_cfg(seed, algo, plan).with_workers(workers);
+    let cfg = storm_cfg(seed, plan).with_workers(workers);
     let logs2 = Arc::clone(&logs);
     let res = Universe::run_poll(p, cfg, move |env| {
         storm_rank(env, p, per, Arc::clone(&logs2))
@@ -106,32 +103,31 @@ fn faulted_storm_log(
     zip_logs(&logs, res)
 }
 
-/// Assert the worker × commit-algo matrix reproduces the serial 1-worker
-/// oracle bit for bit under `plan`. The matrix runs through
-/// [`Fleet::submit`] batches — both commit algorithms co-scheduled over
-/// one worker pool — so fault injection is additionally checked against
-/// fleet multiplexing (faults are per-universe state and must not leak
-/// across co-scheduled universes or depend on the pool's interleaving).
+/// Assert every worker count reproduces the solo 1-worker run bit for
+/// bit under `plan`. The matrix runs through [`Fleet::submit`] batches —
+/// two copies of the universe co-scheduled over one worker pool — so
+/// fault injection is additionally checked against fleet multiplexing
+/// (faults are per-universe state and must not leak across co-scheduled
+/// universes or depend on the pool's interleaving).
 fn assert_fault_plan_deterministic(p: usize, per: usize, seed: u64, plan: &FaultPlan) {
-    let oracle = faulted_storm_log(p, per, seed, plan, 1, CommitAlgo::Serial);
+    let oracle = faulted_storm_log(p, per, seed, plan, 1);
     for &workers in &[1usize, 4, 8] {
         let fleet = Fleet::new(workers, 2);
-        let batch: Vec<_> = [CommitAlgo::Sharded, CommitAlgo::Serial]
-            .into_iter()
-            .map(|algo| {
+        let batch: Vec<_> = (0..2)
+            .map(|copy| {
                 let logs: LogStore = Arc::new(Mutex::new(vec![Vec::new(); p]));
                 let logs2 = Arc::clone(&logs);
-                let handle = fleet.submit(p, storm_cfg(seed, algo, plan), move |env| {
+                let handle = fleet.submit(p, storm_cfg(seed, plan), move |env| {
                     storm_rank(env, p, per, Arc::clone(&logs2))
                 });
-                (algo, logs, handle)
+                (copy, logs, handle)
             })
             .collect();
-        for (algo, logs, handle) in batch {
+        for (copy, logs, handle) in batch {
             let got = zip_logs(&logs, handle.join());
             assert_eq!(
                 oracle, got,
-                "faulted run diverged (workers={workers}, algo={algo:?}, plan={plan:?})"
+                "faulted run diverged (workers={workers}, copy={copy}, plan={plan:?})"
             );
         }
     }
@@ -141,7 +137,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 3, ..ProptestConfig::default() })]
 
     // Stragglers + message jitter, no crashes: every rank completes and
-    // the full log/clock picture must be worker- and algo-invariant.
+    // the full log/clock picture must be worker-invariant.
     #[test]
     fn slowdown_and_jitter_are_deterministic(
         perturb in any::<u64>(),
@@ -187,7 +183,7 @@ fn combined_faults_are_deterministic() {
 /// clock tick or delivery.
 #[test]
 fn zero_magnitude_plan_is_byte_identical_to_no_plan() {
-    let clean = faulted_storm_log(24, 2, 5, &FaultPlan::default(), 4, CommitAlgo::Sharded);
+    let clean = faulted_storm_log(24, 2, 5, &FaultPlan::default(), 4);
     let zero_frac = FaultPlan::default()
         .with_perturb_seed(99)
         .with_slowdown(0.0, 8.0)
@@ -196,7 +192,7 @@ fn zero_magnitude_plan_is_byte_identical_to_no_plan() {
         .with_perturb_seed(7)
         .with_slowdown(0.9, 1.0);
     for plan in [zero_frac, unit_factor] {
-        let got = faulted_storm_log(24, 2, 5, &plan, 4, CommitAlgo::Sharded);
+        let got = faulted_storm_log(24, 2, 5, &plan, 4);
         assert_eq!(
             clean, got,
             "zero-magnitude plan perturbed the run: {plan:?}"
@@ -208,11 +204,11 @@ fn zero_magnitude_plan_is_byte_identical_to_no_plan() {
 /// move virtual clocks relative to the clean run.
 #[test]
 fn nonzero_slowdown_actually_perturbs_clocks() {
-    let clean = faulted_storm_log(24, 1, 5, &FaultPlan::default(), 4, CommitAlgo::Sharded);
+    let clean = faulted_storm_log(24, 1, 5, &FaultPlan::default(), 4);
     let plan = FaultPlan::default()
         .with_perturb_seed(3)
         .with_slowdown(1.0, 8.0);
-    let slowed = faulted_storm_log(24, 1, 5, &plan, 4, CommitAlgo::Sharded);
+    let slowed = faulted_storm_log(24, 1, 5, &plan, 4);
     let clean_clocks: Vec<Time> = clean.iter().map(|l| l.2).collect();
     let slowed_clocks: Vec<Time> = slowed.iter().map(|l| l.2).collect();
     assert_ne!(clean_clocks, slowed_clocks, "slowdown plan had no effect");

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use mpisim::mailbox::Mailbox;
 use mpisim::msg::{ContextId, MatchPattern, Message, SrcFilter};
 use mpisim::nbcoll;
-use mpisim::{coll, ops, recv_async, CommitAlgo, SimConfig, Src, Time, Transport, Universe};
+use mpisim::{coll, ops, recv_async, SimConfig, Src, Time, Transport, Universe};
 
 #[test]
 fn mailbox_concurrent_producers_and_consumer() {
@@ -155,10 +155,8 @@ fn commit_fan_in_all_to_one_4096() {
     // its gather roots.
     let p = 1 << 12;
     let per = 4;
-    let run = |algo: CommitAlgo, workers: usize| {
-        let cfg = SimConfig::cooperative()
-            .with_commit_algo(algo)
-            .with_workers(workers);
+    let run = |workers: usize| {
+        let cfg = SimConfig::cooperative().with_workers(workers);
         let res = Universe::run_poll(p, cfg, move |env| async move {
             let w = &env.world;
             if w.rank() == 0 {
@@ -177,11 +175,11 @@ fn commit_fan_in_all_to_one_4096() {
         });
         (res.per_rank[0], res.clocks)
     };
-    let oracle = run(CommitAlgo::Serial, 1);
-    for workers in [1usize, 4, 8] {
+    let oracle = run(1);
+    for workers in [4usize, 8] {
         assert_eq!(
             oracle,
-            run(CommitAlgo::Sharded, workers),
+            run(workers),
             "all-to-one fan-in diverged at {workers} workers"
         );
     }
@@ -196,10 +194,8 @@ fn commit_fan_in_leader_gather_4096() {
     // phase dominates: virtually all virtual time is message delivery.
     let p = 1 << 12;
     let b = 64; // block size = leader count = √p
-    let run = |algo: CommitAlgo, workers: usize| {
-        let cfg = SimConfig::cooperative()
-            .with_commit_algo(algo)
-            .with_workers(workers);
+    let run = |workers: usize| {
+        let cfg = SimConfig::cooperative().with_workers(workers);
         let res = Universe::run_poll(p, cfg, move |env| async move {
             let w = &env.world;
             let r = w.rank();
@@ -228,11 +224,11 @@ fn commit_fan_in_leader_gather_4096() {
         });
         (res.per_rank, res.clocks)
     };
-    let oracle = run(CommitAlgo::Serial, 1);
-    for workers in [1usize, 4, 8] {
+    let oracle = run(1);
+    for workers in [4usize, 8] {
         assert_eq!(
             oracle,
-            run(CommitAlgo::Sharded, workers),
+            run(workers),
             "leader-gather fan-in diverged at {workers} workers"
         );
     }

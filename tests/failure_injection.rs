@@ -5,8 +5,8 @@
 use std::time::Duration;
 
 use mpisim::{
-    nbcoll, ops, recv_async, CommitAlgo, FaultPlan, MpiError, RankHealth, SimConfig, Src, Time,
-    Transport, Universe,
+    nbcoll, ops, recv_async, FaultPlan, MpiError, RankHealth, SimConfig, Src, Time, Transport,
+    Universe,
 };
 use rbc::RbcComm;
 
@@ -182,10 +182,8 @@ fn wedged_async_wait_fails_through_the_exact_deadlock_detector() {
 
 /// Run a 4-rank receive cycle (a textbook deadlock) under the cooperative
 /// backend and return each rank's `(rank, waited_for)` diagnostics.
-fn coop_deadlock_diagnostics(algo: CommitAlgo, workers: usize) -> Vec<Option<(usize, String)>> {
-    let cfg = SimConfig::cooperative()
-        .with_commit_algo(algo)
-        .with_workers(workers);
+fn coop_deadlock_diagnostics(workers: usize) -> Vec<Option<(usize, String)>> {
+    let cfg = SimConfig::cooperative().with_workers(workers);
     Universe::run_poll(4, cfg, |env| async move {
         let w = &env.world;
         let from = (w.rank() + 1) % 4;
@@ -202,10 +200,11 @@ fn coop_deadlock_diagnostics(algo: CommitAlgo, workers: usize) -> Vec<Option<(us
 
 #[test]
 fn coop_deadlock_diagnostics_exact_under_sharded_commit() {
-    // Deadlock poisoning moved behind the sharded commit's merge barrier;
-    // the diagnostics must stay *exact*: same rank, same `waited_for`
-    // text, for every worker count — byte-identical to the serial oracle.
-    let oracle = coop_deadlock_diagnostics(CommitAlgo::Serial, 1);
+    // Deadlock poisoning runs behind the sharded commit's wake-merge
+    // barrier; the diagnostics must stay *exact*: same rank, same
+    // `waited_for` text, for every worker count — byte-identical to the
+    // 1-worker run.
+    let oracle = coop_deadlock_diagnostics(1);
     for (r, d) in oracle.iter().enumerate() {
         let (rank, text) = d.as_ref().expect("every rank deadlocks");
         assert_eq!(*rank, r);
@@ -214,10 +213,10 @@ fn coop_deadlock_diagnostics_exact_under_sharded_commit() {
             "got: {text}"
         );
     }
-    for workers in [1usize, 4, 8] {
+    for workers in [4usize, 8] {
         assert_eq!(
             oracle,
-            coop_deadlock_diagnostics(CommitAlgo::Sharded, workers),
+            coop_deadlock_diagnostics(workers),
             "deadlock diagnostics diverged at {workers} workers"
         );
     }
@@ -266,23 +265,15 @@ fn crash_mid_iallreduce_blames_exactly_the_crashed_rank_threaded() {
 fn crash_mid_iallreduce_blames_exactly_the_crashed_rank_coop() {
     // The cooperative scheduler poisons the stalled ranks long before any
     // wall clock fires; diagnostics must be identical for every worker
-    // count and commit algorithm.
-    let oracle = crash_mid_iallreduce_blame(
-        SimConfig::cooperative()
-            .with_workers(1)
-            .with_commit_algo(CommitAlgo::Serial),
-    );
+    // count.
+    let oracle = crash_mid_iallreduce_blame(SimConfig::cooperative().with_workers(1));
     for d in &oracle {
         let (rank, blamed, all_crashed) = d.as_ref().expect("every rank must error");
         assert_eq!(*blamed, vec![2], "rank {rank} blamed {blamed:?}");
         assert!(all_crashed, "rank {rank}: blame must report crashed health");
     }
     for workers in [4usize, 8] {
-        let got = crash_mid_iallreduce_blame(
-            SimConfig::cooperative()
-                .with_workers(workers)
-                .with_commit_algo(CommitAlgo::Sharded),
-        );
+        let got = crash_mid_iallreduce_blame(SimConfig::cooperative().with_workers(workers));
         assert_eq!(oracle, got, "crash blame diverged at {workers} workers");
     }
 }
@@ -333,39 +324,27 @@ fn crash_mid_jquick_blames_the_crashed_rank_threaded() {
 
 #[test]
 fn crash_mid_jquick_blames_the_crashed_rank_coop() {
-    let run = |workers: usize, algo: CommitAlgo| {
-        crash_mid_jquick_blame(
-            SimConfig::cooperative()
-                .with_workers(workers)
-                .with_commit_algo(algo),
-            5,
-        )
-    };
-    let oracle = run(1, CommitAlgo::Serial);
+    let run =
+        |workers: usize| crash_mid_jquick_blame(SimConfig::cooperative().with_workers(workers), 5);
+    let oracle = run(1);
     let failed: Vec<_> = oracle.iter().flatten().collect();
     assert!(!failed.is_empty(), "the crash must break the sort");
     for (blamed, all_crashed) in failed {
         assert_eq!(*blamed, vec![5], "blame must name exactly the victim");
         assert!(all_crashed, "blame must report crashed health");
     }
-    assert_eq!(
-        oracle,
-        run(8, CommitAlgo::Sharded),
-        "jquick crash blame diverged under the sharded commit"
-    );
+    assert_eq!(oracle, run(8), "jquick crash blame diverged at 8 workers");
 }
 
 #[test]
 fn coop_timeout_after_real_traffic_identical_under_sharded_commit() {
     // Sharded commits with real deliveries happen first (a ring
     // exchange), *then* a rank waits forever: the poison must fire on
-    // exactly the stuck ranks, with identical text under both commit
-    // algorithms. Ranks 0 and 1 both wait on a tag nobody sends so the
+    // exactly the stuck ranks, with identical text at every worker
+    // count. Ranks 0 and 1 both wait on a tag nobody sends so the
     // poison pass wakes several blocked ranks in one commit.
-    let run = |algo: CommitAlgo, workers: usize| {
-        let cfg = SimConfig::cooperative()
-            .with_commit_algo(algo)
-            .with_workers(workers);
+    let run = |workers: usize| {
+        let cfg = SimConfig::cooperative().with_workers(workers);
         Universe::run_poll(8, cfg, |env| async move {
             let w = &env.world;
             let next = (w.rank() + 1) % 8;
@@ -390,7 +369,7 @@ fn coop_timeout_after_real_traffic_identical_under_sharded_commit() {
         })
         .per_rank
     };
-    let oracle = run(CommitAlgo::Serial, 1);
+    let oracle = run(1);
     for (r, d) in oracle.iter().enumerate() {
         if r < 2 {
             let (rank, text, blamed) = d.as_ref().expect("stuck ranks time out");
@@ -404,10 +383,10 @@ fn coop_timeout_after_real_traffic_identical_under_sharded_commit() {
             assert!(d.is_none(), "rank {r} should have finished cleanly");
         }
     }
-    for workers in [1usize, 4, 8] {
+    for workers in [4usize, 8] {
         assert_eq!(
             oracle,
-            run(CommitAlgo::Sharded, workers),
+            run(workers),
             "timeout diagnostics diverged at {workers} workers"
         );
     }
